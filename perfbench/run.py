@@ -33,7 +33,9 @@ from inputs import VERIFY_GRAPHS, VERIFY_MAX_N, compute_large_inputs, graph6
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-SETUP_REPEATS = 11
+# set-up probes before the timed loop and after it, so that one run's
+# median spans the host's speed at both ends of the run
+SETUP_REPEATS = (6, 5)
 SAMPLE_PER_N = 6  # enumerated graphs per order checked through `compute`
 WORKLOADS = ("verify-n6", "verify-n6-par2", "compute-large")
 
@@ -110,9 +112,9 @@ def setup_probe(workload: str, seed: int) -> None:
     sys.exit(0 if rc == 0 else 1)
 
 
-def timed_setup(workload: str, seed: int) -> list[float]:
+def timed_setup(workload: str, seed: int, repeats: int) -> list[float]:
     times = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
@@ -178,7 +180,7 @@ def check_outputs(wl: Workload, outputs: dict, exit_codes: list, cli_main) -> tu
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool, cli_main) -> dict:
-    setups = [] if trace else timed_setup(name, seed)
+    setups = [] if trace else timed_setup(name, seed, SETUP_REPEATS[0])
     wl = Workload(name, seed)
     rc, _, _ = run_op(cli_main, wl.warmup)
     if rc != 0:
@@ -219,6 +221,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, cli_main) ->
     wall = time.perf_counter() - start
     cpu = cpu_seconds() - cpu0
     rss = peak_rss_mb()
+    if not trace:
+        setups += timed_setup(name, seed, SETUP_REPEATS[1])
 
     failed, errors = check_outputs(wl, outputs, exit_codes, cli_main)
     for e in errors:
