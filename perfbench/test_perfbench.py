@@ -7,6 +7,7 @@ Run from the root of a checkout:
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
@@ -25,13 +26,18 @@ from run import WORKLOADS, import_cli  # noqa: E402
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="ascii"))
 
 
-def _run(workload: str, trace: int) -> dict:
+def _lines(workload: str, trace: int) -> list[dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=170, check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return [json.loads(line) for line in proc.stdout.strip().splitlines()]
+
+
+@functools.cache
+def _run(workload: str, trace: int) -> dict:
+    return _lines(workload, trace)[-1]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -42,6 +48,17 @@ def test_short_run_reports_every_end_to_end_metric(workload):
     want = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
     assert {k: v["unit"] for k, v in res["metrics"].items()} == want
     assert all(v["value"] > 0 for v in res["metrics"].values())
+
+
+def test_all_runs_each_workload_in_a_fresh_process():
+    results = _lines("all", 0)
+    assert [r.pop("workload") for r in results] == list(WORKLOADS)
+    for name, res in zip(WORKLOADS, results):
+        assert res["correct"] is True and res["failed"] == 0
+        # the checks of an earlier workload import numpy and networkx;
+        # a shared process would report their peak for every later workload
+        alone = _run(name, 0)["metrics"]["peak_rss_mb"]["value"]
+        assert res["metrics"]["peak_rss_mb"]["value"] == pytest.approx(alone, rel=0.1)
 
 
 def test_traced_run_reports_every_per_layer_metric():
