@@ -1,10 +1,10 @@
 """Measure how tight each distance Estrada bound is across graph families.
 
 For every graph in a parametric family sweep this prints one CSV row with
-the log-scale gap of each single-graph bound: log(observed) - log(bound)
-for lower bounds and log(bound) - log(observed) for upper bounds, so a
-gap of 0 means the bound is attained and growth rates stay readable even
-when the raw values overflow floats.
+the log-scale gap of each single-graph bound row of the catalog:
+log(observed) - log(bound) for lower bounds and log(bound) - log(observed)
+for upper bounds, so a gap of 0 means the bound is attained and growth
+rates stay readable even when the raw values overflow floats.
 
 Usage:
     python3 scripts/bound_tightness.py [--n-min N] [--n-max N] [--families a,b,c]
@@ -15,9 +15,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-from destrada.bounds import distance_estrada, thm1_bounds, thm2_lower, thm3_lower, thm5_upper
+from destrada.bounds import CATALOG_IDS, evaluate, reports_from
 from destrada.graphs import GraphFamily, generate
 from destrada.numeric import fmt15
+
+# catalog rows in output column order; row T1_lower prints as gap_t1_lower
+GAP_ROWS = ("T1_lower", "T2_lower", "T3_lower", "T1_upper", "T5_upper")
 
 FAMILY_BUILDERS = {
     "complete": GraphFamily.complete,
@@ -39,19 +42,15 @@ def log_gaps(config: TightnessConfig):
     for name in config.families:
         build = FAMILY_BUILDERS[name]
         for n in range(config.n_min, config.n_max + 1):
-            g = generate(build(n))
-            log_obs = distance_estrada(g).log_value
-            t1_lo, t1_up = thm1_bounds(g)
-            row = {
-                "family": name,
-                "n": n,
-                "dee_log": log_obs,
-                "gap_t1_lower": log_obs - math.log(t1_lo),
-                "gap_t2_lower": log_obs - math.log(thm2_lower(g)),
-                "gap_t3_lower": log_obs - math.log(thm3_lower(g)),
-                "gap_t1_upper": t1_up.log_value - log_obs,
-                "gap_t5_upper": thm5_upper(g).log_value - log_obs,
-            }
+            ev = evaluate(generate(build(n)))
+            reports = reports_from(ev)
+            log_obs = ev.dee.log_value
+            row = {"family": name, "n": n, "dee_log": log_obs}
+            for tid in GAP_ROWS:
+                r = reports[CATALOG_IDS.index(tid)]
+                log_bound = r.bound_value if r.log_domain else math.log(r.bound_value)
+                upper = tid.endswith("_upper")
+                row["gap_" + tid.lower()] = log_bound - log_obs if upper else log_obs - log_bound
             yield row
 
 
@@ -69,8 +68,7 @@ def main() -> int:
         parser.error("need 3 <= n-min <= n-max")
     config = TightnessConfig(families=families, n_min=args.n_min, n_max=args.n_max)
 
-    cols = ["family", "n", "dee_log", "gap_t1_lower", "gap_t2_lower",
-            "gap_t3_lower", "gap_t1_upper", "gap_t5_upper"]
+    cols = ["family", "n", "dee_log"] + ["gap_" + tid.lower() for tid in GAP_ROWS]
     print(",".join(cols))
     negative = []
     for row in log_gaps(config):

@@ -7,48 +7,36 @@ catalog exhaustively over small labeled graphs.
 """
 
 from .bounds import (
-    BoundReport,
+    CATALOG,
     CATALOG_IDS,
+    BoundReport,
     DistSpectrumClass,
     EstradaValue,
     ExpBound,
     GraphEvaluation,
     SpectralMismatchError,
     bound_report,
-    comparison_checks,
     comparisons_from,
     distance_estrada,
     estrada_index,
     evaluate,
     is_complete,
     is_complete_multipartite,
-    is_regular_diam_le2,
-    lemma3_lambda1_lower,
     lemma4_classify,
     reports_from,
-    thm1_bounds,
-    thm2_lower,
-    thm3_lower,
-    thm4_ng_lower,
-    thm5_upper,
-    thm6_identity,
 )
 from .graphs import (
-    DegreeProfile,
     DisconnectedGraphError,
     Graph,
     GraphFamily,
     GraphFormatError,
     complement,
-    degree_profile,
-    diameter,
     enumerate_connected,
     enumerate_regular,
     generate,
     is_connected,
     parse_edge_list,
     parse_graph6,
-    regularity,
     to_graph6,
 )
 from .metric import DistanceMatrix, distance_matrix, sum_sq_distances
@@ -72,8 +60,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
+    "CATALOG",
     "CATALOG_IDS",
-    "DegreeProfile",
     "DisconnectedGraphError",
     "DistSpectrumClass",
     "DistanceMatrix",
@@ -92,13 +80,10 @@ __all__ = [
     "adjacency_matrix",
     "bound_report",
     "build_record",
-    "comparison_checks",
     "comparisons_from",
     "complement",
     "complement_adj_spectrum",
     "count_positive",
-    "degree_profile",
-    "diameter",
     "distance_estrada",
     "distance_matrix",
     "distance_spectrum",
@@ -112,22 +97,13 @@ __all__ = [
     "is_complete",
     "is_complete_multipartite",
     "is_connected",
-    "is_regular_diam_le2",
     "lemma1_check",
     "lemma2_spectrum",
-    "lemma3_lambda1_lower",
     "lemma4_classify",
     "parse_edge_list",
     "parse_graph6",
-    "regularity",
     "reports_from",
     "sum_sq_distances",
-    "thm1_bounds",
-    "thm2_lower",
-    "thm3_lower",
-    "thm4_ng_lower",
-    "thm5_upper",
-    "thm6_identity",
     "to_graph6",
     "verify_population",
 ]

@@ -205,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for gnp")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="exhaustive check of every bound on all small graphs")

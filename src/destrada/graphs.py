@@ -1,9 +1,9 @@
 """Simple undirected graphs stored as per-vertex neighbor bitmasks.
 
 Parsing (edge list, graph6), family generators, complement, connectivity,
-degree profiles, diameter, and exhaustive labeled enumeration.  Edge bit
-``j*(j-1)//2 + i`` for a pair ``i < j`` follows the graph6 column order,
-so a graph's pair mask is exactly its graph6 payload bit stream.
+and exhaustive labeled enumeration.  Edge bit ``j*(j-1)//2 + i`` for a
+pair ``i < j`` follows the graph6 column order, so a graph's pair mask is
+exactly its graph6 payload bit stream.
 """
 
 from __future__ import annotations
@@ -292,53 +292,6 @@ def _reaches_all(adj: Sequence[int], n: int) -> bool:
 
 def is_connected(g: Graph) -> bool:
     return _reaches_all(g.adj, g.n)
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Non-increasing degree sequence with its two largest entries."""
-
-    degrees: tuple[int, ...]
-    delta1: int
-    delta2: int
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    if g.n < 2:
-        raise ValueError("degree profile needs n >= 2")
-    degs = tuple(sorted(g.degrees(), reverse=True))
-    return DegreeProfile(degrees=degs, delta1=degs[0], delta2=degs[1])
-
-
-def diameter(g: Graph) -> int:
-    """Largest shortest-path distance; raises on disconnected input."""
-    best = 0
-    full = (1 << g.n) - 1
-    for src in range(g.n):
-        seen = 1 << src
-        frontier = seen
-        d = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                nxt |= g.adj[v]
-                frontier &= frontier - 1
-            frontier = nxt & ~seen
-            if frontier:
-                seen |= frontier
-                d += 1
-        if seen != full:
-            raise DisconnectedGraphError("diameter of a disconnected graph")
-        best = max(best, d)
-    return best
-
-
-def regularity(g: Graph) -> int | None:
-    """Common degree r if the graph is regular, else None."""
-    degs = g.degrees()
-    r = degs[0]
-    return r if all(d == r for d in degs) else None
 
 
 # --- exhaustive enumeration --------------------------------------------------

@@ -11,17 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (
-    CATALOG_IDS,
-    BoundReport,
-    comparisons_from,
-    estrada_index,
-    evaluate,
-    reports_from,
-)
+from .bounds import CATALOG_IDS, BoundReport, comparisons_from, evaluate, reports_from
 from .graphs import Graph, to_graph6
 from .numeric import fmt15
-from .spectra import Spectrum, adjacency_matrix, eig_sym
+from .spectra import Spectrum
 from .verify import VerificationSummary
 
 
@@ -46,7 +39,6 @@ class ReportRecord:
 
 def build_record(g: Graph) -> ReportRecord:
     ev = evaluate(g)
-    ee_comp = estrada_index(eig_sym(adjacency_matrix(ev.comp)))
     return ReportRecord(
         graph_id=to_graph6(g),
         n=g.n,
@@ -58,7 +50,7 @@ def build_record(g: Graph) -> ReportRecord:
         dee=ev.dee.value,
         dee_log=ev.dee.log_value,
         dee_log_domain=ev.dee.overflowed,
-        ee_complement=ee_comp.value,
+        ee_complement=ev.ee_complement.value,
         comparisons=comparisons_from(ev) if g.n >= 2 else None,
         bounds=reports_from(ev),
     )

@@ -16,20 +16,13 @@ import multiprocessing
 from dataclasses import dataclass
 
 from .bounds import (
-    L3_LAMBDA1_LOWER,
-    L4_CLASS,
+    ASSERTED,
+    CATALOG,
     SIGNATURE_ABS_TOL,
     STRICT_SLACK,
-    T1_LOWER,
-    T1_UPPER,
-    T2_LOWER,
-    T3_LOWER,
-    T4_NG_LOWER,
-    T5_UPPER,
-    T6_IDENTITY,
     GraphEvaluation,
     SpectralMismatchError,
-    comparisons_from,
+    cross_checks,
     evaluate,
     reports_from,
 )
@@ -46,24 +39,9 @@ from .spectra import (
 # check ids beyond the bound catalog
 L1_IDENTITY = "L1_identity"
 L2_TRANSFORM = "L2_transform"
-L3_EQUALITY_IFF = "L3_equality_iff"
 L4_CONTRADICTION = "L4_contradiction"
 EIG_FAILURE = "EIG_convergence"
-COMP_T3_VS_T1 = "COMP_t3_vs_t1"
-COMP_T5_VS_T1 = "COMP_t5_vs_t1"
 T3_ARGMAX = "T3_argmax_sanity"
-
-# catalog rows asserted to hold with strict margin on the sweep population
-_STRICT_ASSERTED = (T1_LOWER, T1_UPPER, T5_UPPER)
-# rows asserted non-strictly (equality is a legitimate hit)
-_NONSTRICT_ASSERTED = (T3_LOWER, L3_LAMBDA1_LOWER)
-# rows reported per graph but never failed on: see docs/findings.md
-_DESCRIPTIVE = (T2_LOWER, T4_NG_LOWER)
-
-_EQUALITY_TRACKED = frozenset({
-    T1_LOWER, T1_UPPER, T2_LOWER, T3_LOWER, T4_NG_LOWER,
-    T5_UPPER, T6_IDENTITY, L3_LAMBDA1_LOWER,
-})
 
 
 @dataclass(frozen=True)
@@ -125,27 +103,20 @@ def _check_graph(
 
     t3_slack = math.nan
     if reports is not None:
-        r1l, r1u, r2, r3, r4, r5, r6, rl3, _ = reports
-        t3_slack = r3.slack
-
-        for r in (r1l, r1u, r5):
-            if not (r.holds and r.slack > STRICT_SLACK):
-                bad.append((r.theorem_id, r.slack))
-        for r in (r3, rl3):
-            if not r.holds:
-                bad.append((r.theorem_id, r.slack))
-        for r in (r2, r4):
-            if r.applicable and not (
+        # one verdict rule for every applicable row; the catalog says whether
+        # a failure is a violation or a finding
+        for (_, verdict, equality_tracked, _), r in zip(CATALOG, reports):
+            if not r.applicable:
+                continue
+            if equality_tracked and r.equality:
+                hit_ids.append(r.theorem_id)
+            if verdict is not None and not (
                 r.holds and (not r.strict_required or r.slack > STRICT_SLACK)
             ):
-                found.append((r.theorem_id, r.slack))
-        if r6.applicable and not r6.holds:
-            bad.append((T6_IDENTITY, r6.slack))
+                (bad if verdict == ASSERTED else found).append((r.theorem_id, r.slack))
 
-        # the structural equality flag must match numeric equality both ways
-        numeric_eq = abs(rl3.slack) <= SIGNATURE_ABS_TOL
-        if bool(rl3.equality) != numeric_eq:
-            bad.append((L3_EQUALITY_IFF, rl3.slack))
+        failed, t3_slack = cross_checks(ev, reports)
+        bad.extend(failed)
 
         # trace and second-moment identities of the distance spectrum
         moment = 2 * sum_sq_distances(ev.dm)
@@ -160,16 +131,6 @@ def _check_graph(
             diff = max(abs(a - b) for a, b in zip(mapped.values, ev.spectrum.values))
             if diff > SIGNATURE_ABS_TOL:
                 bad.append((L2_TRANSFORM, diff))
-
-        t3_beats, t5_beats = comparisons_from(ev)
-        if not t3_beats:
-            bad.append((COMP_T3_VS_T1, r3.slack))
-        if not t5_beats:
-            bad.append((COMP_T5_VS_T1, r5.slack))
-
-        for r in reports:
-            if r.applicable and r.equality and r.theorem_id in _EQUALITY_TRACKED:
-                hit_ids.append(r.theorem_id)
 
     if not (bad or found or hit_ids):
         return (), (), (), t3_slack

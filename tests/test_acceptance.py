@@ -13,21 +13,16 @@ from pathlib import Path
 import pytest
 
 from destrada.bounds import (
+    CATALOG_IDS,
     DistSpectrumClass,
+    bound_report,
     distance_estrada,
+    evaluate,
     lemma4_classify,
-    thm2_lower,
-    thm6_identity,
+    reports_from,
 )
 from destrada.cli import main
-from destrada.graphs import (
-    Graph,
-    GraphFamily,
-    diameter,
-    enumerate_regular,
-    generate,
-    regularity,
-)
+from destrada.graphs import Graph, GraphFamily, enumerate_regular, generate
 from destrada.metric import distance_matrix
 from destrada.numeric import SplitMix64
 from destrada.spectra import (
@@ -63,7 +58,7 @@ def regular_diam2_n8():
     for n in range(2, 9):
         for r in range(1, n):
             for g in enumerate_regular(n, r, connected_only=True):
-                if diameter(g) <= 2:
+                if distance_matrix(g).diameter() <= 2:
                     out.append(g)
     return out
 
@@ -98,7 +93,7 @@ def test_criterion_02_trace_identities_across_the_population(population7):
 def test_criterion_03_regular_distance_spectrum_transform(regular_diam2_n8, petersen):
     assert sum(1 for g in regular_diam2_n8 if g.n <= 7) == 571
     for g in regular_diam2_n8 + [petersen]:
-        mapped = lemma2_spectrum(eig_sym(adjacency_matrix(g)), g.n, regularity(g))
+        mapped = lemma2_spectrum(eig_sym(adjacency_matrix(g)), g.n, g.degree(0))
         direct = eig_sym(distance_sym(distance_matrix(g)))
         diff = max(abs(a - b) for a, b in zip(mapped.values, direct.values))
         assert diff <= 1e-8
@@ -153,8 +148,11 @@ def test_criterion_09_regular_identity_families(regular_diam2_n8, petersen):
     cases += [generate(GraphFamily.multipartite((m, m))) for m in range(1, 6)]
     cases += [generate(GraphFamily.cycle(5)), petersen]
     cases += regular_diam2_n8
+    t6 = CATALOG_IDS.index("T6_identity")
     for g in cases:
-        lhs, rhs = thm6_identity(g)
+        row = reports_from(evaluate(g), include_t4=False)[t6]
+        assert row.applicable
+        lhs, rhs = row.observed, row.bound_value
         assert abs(lhs - rhs) <= 1e-9 * lhs
 
 
@@ -172,14 +170,16 @@ def test_criterion_10_complement_pair_bound_findings(population7):
 
 
 def test_criterion_11_mean_degree_audit_is_documented(k):
-    bound = thm2_lower(k(3))
+    row = bound_report(k(3))[CATALOG_IDS.index("T2_lower")]
+    bound = row.bound_value
     observed = distance_estrada(k(3)).value
     assert bound == pytest.approx(
         math.exp(2) + math.exp(-2) + 1.0, rel=1e-14
     )
     assert observed == pytest.approx(math.exp(2) + 2 * math.exp(-1), rel=1e-12)
     assert bound > observed  # the claimed lower bound fails at the triangle
-    assert math.isclose(thm2_lower(k(2)), distance_estrada(k(2)).value, rel_tol=1e-12)
+    row = bound_report(k(2))[CATALOG_IDS.index("T2_lower")]
+    assert math.isclose(row.bound_value, distance_estrada(k(2)).value, rel_tol=1e-12)
     text = (Path(__file__).parent.parent / "docs" / "findings.md").read_text()
     assert "8.52439138216726" in text
     assert "8.12481498127353" in text
@@ -232,7 +232,7 @@ def test_criterion_13_cli_golden_determinism(capsys):
             n = {"C~": "4", "Dhc": "5"}[g6]
             argv = ["sweep", "--family", family, "--n", n]
         sweeps = []
-        for threads in ("1", "2", "1"):
-            assert main(argv + ["--threads", threads]) == 0
+        for _ in range(3):
+            assert main(argv) == 0
             sweeps.append(capsys.readouterr().out)
         assert sweeps[0] == sweeps[1] == sweeps[2]

@@ -5,38 +5,34 @@ the definitions and frozen here; the library must reproduce them in float.
 """
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from destrada.bounds import (
+    ASSERTED,
+    CATALOG,
     CATALOG_IDS,
+    DESCRIPTIVE,
     STRICT_SLACK,
     BoundReport,
     DistSpectrumClass,
     ExpBound,
     SpectralMismatchError,
     bound_report,
-    comparison_checks,
+    comparisons_from,
     distance_estrada,
     estrada_index,
     evaluate,
     is_complete,
     is_complete_multipartite,
-    is_regular_diam_le2,
-    lemma3_lambda1_lower,
     lemma4_classify,
     reports_from,
-    thm1_bounds,
-    thm2_lower,
-    thm3_lower,
-    thm4_ng_lower,
-    thm5_upper,
-    thm6_identity,
 )
-from destrada.graphs import Graph, GraphFamily, generate
+from destrada.graphs import Graph, GraphFamily, complement, generate
 from destrada.metric import distance_matrix
-from destrada.spectra import Spectrum, distance_sym, eig_sym
+from destrada.spectra import Spectrum, adjacency_matrix, distance_sym, eig_sym
 
 
 @st.composite
@@ -51,6 +47,10 @@ def connected_graphs(draw, min_n=2, max_n=7):
 
 def by_id(reports):
     return {r.theorem_id: r for r in reports}
+
+
+def row_of(family, tid):
+    return by_id(bound_report(generate(family)))[tid]
 
 
 K23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
@@ -89,40 +89,48 @@ def test_complete_graph_closed_form(k):
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
+# the bound operand of each row; the 4-path is self-complementary, so its
+# pair row carries the n = 4 pair floor
 FROZEN_BOUNDS = [
-    ("pair_lower_k2", lambda: thm1_bounds(generate(GraphFamily.complete(2)))[0], 2.82842712474619, 1e-12),
-    ("pair_lower_p3", lambda: thm1_bounds(generate(GraphFamily.path(3)))[0], math.sqrt(17), 1e-12),
-    ("diam_upper_p3", lambda: thm1_bounds(generate(GraphFamily.path(3)))[1].value, 136.152804930721, 1e-9),
-    ("mean_degree_lower_k3", lambda: thm2_lower(generate(GraphFamily.complete(3))), 8.52439138216726, 1e-11),
-    ("mean_degree_lower_p3", lambda: thm2_lower(generate(GraphFamily.path(3))), 15.4613995463727, 1e-11),
-    ("degree_profile_lower_c5", lambda: thm3_lower(generate(GraphFamily.cycle(5))), 404.321314133329, 1e-9),
-    ("degree_profile_lower_star4", lambda: thm3_lower(generate(GraphFamily.star(4))), 48.9106199103739, 1e-10),
-    ("pair_sum_lower_n4", lambda: thm4_ng_lower(4), 184.056480594120, 1e-9),
-    ("strict_upper_k2", lambda: thm5_upper(generate(GraphFamily.complete(2))).value, 3.71828182845905, 1e-12),
-    ("strict_upper_k3", lambda: thm5_upper(generate(GraphFamily.complete(3))).value, 11.3564690166011, 1e-11),
-    ("strict_upper_p3", lambda: thm5_upper(generate(GraphFamily.path(3))).value, 123.004958405225, 1e-9),
-    ("spectral_radius_floor_c5", lambda: lemma3_lambda1_lower(generate(GraphFamily.cycle(5))), 6.0, 1e-12),
-    ("spectral_radius_floor_p4", lambda: lemma3_lambda1_lower(generate(GraphFamily.path(4))), 4.0, 1e-12),
+    ("pair_lower_k2", GraphFamily.complete(2), "T1_lower", 2.82842712474619, 1e-12),
+    ("pair_lower_p3", GraphFamily.path(3), "T1_lower", math.sqrt(17), 1e-12),
+    ("diam_upper_p3", GraphFamily.path(3), "T1_upper", 136.152804930721, 1e-9),
+    ("mean_degree_lower_k3", GraphFamily.complete(3), "T2_lower", 8.52439138216726, 1e-11),
+    ("mean_degree_lower_p3", GraphFamily.path(3), "T2_lower", 15.4613995463727, 1e-11),
+    ("degree_profile_lower_c5", GraphFamily.cycle(5), "T3_lower", 404.321314133329, 1e-9),
+    ("degree_profile_lower_star4", GraphFamily.star(4), "T3_lower", 48.9106199103739, 1e-10),
+    ("pair_sum_lower_n4", GraphFamily.path(4), "T4_ng_lower", 184.056480594120, 1e-9),
+    ("strict_upper_k2", GraphFamily.complete(2), "T5_upper", 3.71828182845905, 1e-12),
+    ("strict_upper_k3", GraphFamily.complete(3), "T5_upper", 11.3564690166011, 1e-11),
+    ("strict_upper_p3", GraphFamily.path(3), "T5_upper", 123.004958405225, 1e-9),
+    ("spectral_radius_floor_c5", GraphFamily.cycle(5), "L3_lambda1_lower", 6.0, 1e-12),
+    ("spectral_radius_floor_p4", GraphFamily.path(4), "L3_lambda1_lower", 4.0, 1e-12),
 ]
 
 
-@pytest.mark.parametrize("name,fn,want,tol", FROZEN_BOUNDS, ids=[c[0] for c in FROZEN_BOUNDS])
-def test_bound_operands_match_frozen_values(name, fn, want, tol):
-    assert fn() == pytest.approx(want, abs=tol)
+@pytest.mark.parametrize("name,family,tid,want,tol", FROZEN_BOUNDS, ids=[c[0] for c in FROZEN_BOUNDS])
+def test_bound_operands_match_frozen_values(name, family, tid, want, tol):
+    r = row_of(family, tid)
+    assert not r.log_domain
+    assert r.bound_value == pytest.approx(want, abs=tol)
 
 
 def test_tie_breaking_in_second_largest_degree(path, star):
     # P4 has degrees (2, 2, 1, 1): both top entries are 2, so the radical
     # is sqrt(4 * 4) = 4, not sqrt(4 * 5)
-    assert lemma3_lambda1_lower(path(4)) == pytest.approx(4.0, abs=1e-15)
-    assert lemma3_lambda1_lower(star(4)) == pytest.approx(math.sqrt(15), abs=1e-15)
+    ev = evaluate(path(4))
+    assert (ev.delta1, ev.delta2) == (2, 2)
+    assert by_id(reports_from(ev))["L3_lambda1_lower"].bound_value == pytest.approx(4.0, abs=1e-15)
+    got = by_id(bound_report(star(4)))["L3_lambda1_lower"]
+    assert got.bound_value == pytest.approx(math.sqrt(15), abs=1e-15)
 
 
 # --- equality cases ----------------------------------------------------------
 
 def test_two_vertex_equality_of_the_mean_degree_bound(k):
-    g = k(2)
-    assert math.isclose(thm2_lower(g), distance_estrada(g).value, rel_tol=1e-12)
+    got = by_id(bound_report(k(2)))["T2_lower"]
+    assert math.isclose(got.bound_value, got.observed, rel_tol=1e-12)
+    assert got.holds and got.equality
 
 
 def test_degree_profile_equality_exactly_at_complete_graphs(k, cycle, path, star):
@@ -148,35 +156,27 @@ def test_single_vertex_graph_attains_both_base_bounds():
 
 def test_regular_identity_holds_on_its_domain(k, cycle, petersen):
     for g in (k(4), cycle(5), petersen):
-        lhs, rhs = thm6_identity(g)
-        assert math.isclose(lhs, rhs, rel_tol=1e-9)
-
-
-def test_regular_identity_rejects_off_domain_graphs(path, cycle):
-    with pytest.raises(ValueError):
-        thm6_identity(path(4))       # not regular
-    with pytest.raises(ValueError):
-        thm6_identity(cycle(6))      # diameter 3
+        got = by_id(bound_report(g))["T6_identity"]
+        assert got.applicable and got.holds and got.equality
+        assert got.observed == distance_estrada(g).value
+        assert math.isclose(got.observed, got.bound_value, rel_tol=1e-9)
 
 
 # --- preconditions -----------------------------------------------------------
 
 def test_bounds_require_connected_input():
     with pytest.raises(ValueError):
-        thm1_bounds(Graph.from_pair_mask(3, 0b001))
+        bound_report(Graph.from_pair_mask(3, 0b001))
 
 
 def test_bounds_require_two_vertices():
+    # the rows that need n >= 2 report inapplicable on K1 (pinned in
+    # test_single_vertex_graph_attains_both_base_bounds); these raise
     k1 = Graph.from_pair_mask(1, 0)
-    for fn in (thm2_lower, thm3_lower, thm5_upper, lemma3_lambda1_lower):
-        with pytest.raises(ValueError):
-            fn(k1)
-    with pytest.raises(ValueError):
-        thm4_ng_lower(1)
     with pytest.raises(ValueError):
         lemma4_classify(k1, Spectrum(values=(0.0,)))
     with pytest.raises(ValueError):
-        comparison_checks(k1)
+        comparisons_from(evaluate(k1))
 
 
 # --- overflow-safe arithmetic ------------------------------------------------
@@ -246,11 +246,15 @@ def test_complete_and_multipartite_detection(k, cycle, path, star, petersen):
 
 
 def test_regular_diameter_two_detection(k, cycle, path, petersen):
-    assert is_regular_diam_le2(k(5))
-    assert is_regular_diam_le2(cycle(5))
-    assert is_regular_diam_le2(petersen)
-    assert not is_regular_diam_le2(cycle(6))       # diameter 3
-    assert not is_regular_diam_le2(path(3))        # not regular
+    # the structural equality flag of the spectral-radius floor
+    def flagged(g):
+        return by_id(bound_report(g))["L3_lambda1_lower"].equality
+
+    assert flagged(k(5))
+    assert flagged(cycle(5))
+    assert flagged(petersen)
+    assert not flagged(cycle(6))       # diameter 3
+    assert not flagged(path(3))        # not regular
 
 
 def spectrum_of(g):
@@ -273,6 +277,39 @@ def test_classifier_rejects_contradictory_spectra(k):
 
 # --- report catalog ----------------------------------------------------------
 
+DESCRIPTIVE_IDS = {"T2_lower", "T4_ng_lower"}
+
+
+def test_row_policy_is_pinned_and_matches_the_readme():
+    asserted = {r.theorem_id for r in CATALOG if r.verdict == ASSERTED}
+    assert asserted == {
+        "T1_lower", "T1_upper", "T3_lower", "T5_upper", "T6_identity", "L3_lambda1_lower",
+    }
+    assert {r.theorem_id for r in CATALOG if r.verdict == DESCRIPTIVE} == DESCRIPTIVE_IDS
+    assert {r.theorem_id for r in CATALOG if not r.equality_tracked} == {"L4_class"}
+    # README "Bound catalog" table: the same ids in the same order, and a
+    # status that starts with the row's verdict
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Bound catalog", 1)[1].split("\n\n| id |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split(" | ") for line in table.splitlines()[2:]]
+    assert tuple(cells[0].strip("| `") for cells in rows) == CATALOG_IDS
+    for row, cells in zip(CATALOG, rows):
+        status = cells[2].rstrip(" |")
+        assert status.startswith(ASSERTED) == (row.verdict == ASSERTED), row.theorem_id
+        assert status.startswith(DESCRIPTIVE) == (row.verdict == DESCRIPTIVE), row.theorem_id
+
+
+def test_complement_estrada_index_is_solved_once_and_only_on_demand(petersen, path):
+    ev = evaluate(petersen)
+    assert "ee_complement" not in vars(ev)
+    want = estrada_index(eig_sym(adjacency_matrix(complement(petersen))))
+    assert ev.ee_complement == want
+    assert ev.ee_complement is ev.ee_complement
+    # a graph outside the identity's domain never solves it
+    ev = evaluate(path(5))
+    reports_from(ev)
+    assert "ee_complement" not in vars(ev)
+
 @given(connected_graphs())
 @settings(max_examples=80)
 def test_catalog_rows_are_complete_and_ordered(g):
@@ -283,14 +320,15 @@ def test_catalog_rows_are_complete_and_ordered(g):
         if not r.applicable:
             assert r.bound_value is None and r.observed is None
             assert r.note
-        elif r.theorem_id not in ("T2_lower", "T4_ng_lower"):
+        elif r.theorem_id not in DESCRIPTIVE_IDS:
             assert r.holds
 
 
 @given(connected_graphs())
 @settings(max_examples=80)
 def test_asserted_bounds_hold_on_random_graphs(g):
-    got = by_id(bound_report(g))
+    ev = evaluate(g)
+    got = by_id(reports_from(ev))
     assert got["T1_lower"].holds and got["T1_lower"].slack > STRICT_SLACK
     assert got["T1_upper"].holds and got["T1_upper"].slack > STRICT_SLACK
     assert got["T3_lower"].holds
@@ -298,7 +336,7 @@ def test_asserted_bounds_hold_on_random_graphs(g):
     assert got["T3_lower"].equality == is_complete(g)
     assert got["L3_lambda1_lower"].holds
     assert got["L4_class"].holds
-    t3_beats, t5_beats = comparison_checks(g)
+    t3_beats, t5_beats = comparisons_from(ev)
     assert t3_beats and t5_beats
 
 
@@ -390,5 +428,5 @@ def test_large_graphs_report_upper_bounds_on_the_log_scale(path):
         assert row.observed == pytest.approx(distance_estrada(g).log_value, rel=1e-12)
     # lower bounds stay in the value domain here
     assert not got["T1_lower"].log_domain
-    t3_beats, t5_beats = comparison_checks(g)
+    t3_beats, t5_beats = comparisons_from(evaluate(g))
     assert t3_beats and t5_beats

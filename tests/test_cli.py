@@ -233,6 +233,13 @@ def test_argparse_rejections_use_exit_code_two():
         assert exc.value.code == 2
 
 
+def test_sweep_has_no_threads_flag():
+    # a sweep runs in one process; --threads belongs to verify only
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "cycle", "--n", "3..5", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_exit_violation_code_is_distinct():
     assert (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VIOLATION) == (0, 2, 3, 4)
 

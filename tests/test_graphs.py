@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from destrada.bounds import evaluate
 from destrada.graphs import (
     MAX_ENUM_N,
     DisconnectedGraphError,
@@ -19,8 +20,6 @@ from destrada.graphs import (
     GraphFormatError,
     complement,
     connected_pair_masks,
-    degree_profile,
-    diameter,
     enumerate_connected,
     enumerate_regular,
     generate,
@@ -28,9 +27,9 @@ from destrada.graphs import (
     pair_bit,
     parse_edge_list,
     parse_graph6,
-    regularity,
     to_graph6,
 )
+from destrada.metric import distance_matrix
 
 
 @st.composite
@@ -157,20 +156,20 @@ def test_parse_edge_list_rejects_malformed_input(bad):
 def test_complete_family_has_all_pairs(k):
     g = k(5)
     assert g.m == 10
-    assert regularity(g) == 4
+    assert set(g.degrees()) == {4}
 
 
 def test_cycle_family_is_two_regular(cycle):
     g = cycle(6)
     assert g.m == 6
-    assert regularity(g) == 2
-    assert diameter(g) == 3
+    assert set(g.degrees()) == {2}
+    assert distance_matrix(g).diameter() == 3
 
 
 def test_path_family_degrees(path):
     g = path(5)
     assert sorted(g.degrees()) == [1, 1, 2, 2, 2]
-    assert diameter(g) == 4
+    assert distance_matrix(g).diameter() == 4
 
 
 def test_star_family_degrees(star):
@@ -191,8 +190,8 @@ def test_multipartite_family_structure():
 def test_petersen_family_matches_reference(petersen):
     g = petersen
     assert (g.n, g.m) == (10, 15)
-    assert regularity(g) == 3
-    assert diameter(g) == 2
+    assert set(g.degrees()) == {3}
+    assert distance_matrix(g).diameter() == 2
     assert nx.is_isomorphic(to_nx(g), nx.petersen_graph())
 
 
@@ -245,20 +244,19 @@ def test_connectivity_matches_reference(g):
 def test_diameter_matches_reference(g):
     h = to_nx(g)
     if nx.is_connected(h):
-        assert diameter(g) == nx.diameter(h)
+        assert distance_matrix(g).diameter() == nx.diameter(h)
     else:
         with pytest.raises(DisconnectedGraphError):
-            diameter(g)
+            distance_matrix(g)
 
 
 def test_degree_profile_orders_and_allows_ties(path, star):
-    p4 = degree_profile(path(4))
-    assert p4.degrees == (2, 2, 1, 1)
-    assert (p4.delta1, p4.delta2) == (2, 2)
-    s5 = degree_profile(star(5))
+    p4 = evaluate(path(4))
+    assert (p4.delta1, p4.delta2, p4.r) == (2, 2, None)
+    s5 = evaluate(star(5))
     assert (s5.delta1, s5.delta2) == (4, 1)
-    with pytest.raises(ValueError):
-        degree_profile(Graph.from_pair_mask(1, 0))
+    k1 = evaluate(Graph.from_pair_mask(1, 0))
+    assert (k1.delta1, k1.delta2, k1.r) == (0, 0, 0)
 
 
 # --- exhaustive enumeration --------------------------------------------------

@@ -7,6 +7,9 @@ import math
 
 import pytest
 
+import destrada.bounds as bounds_mod
+import destrada.records as records_mod
+import destrada.spectra as spectra_mod
 from destrada.bounds import CATALOG_IDS, bound_report, distance_estrada
 from destrada.graphs import Graph, GraphFamily, generate, to_graph6
 from destrada.numeric import fmt15
@@ -90,6 +93,26 @@ def test_record_json_escapes_backslash_graph_ids():
     text = record_to_json(build_record(g))
     assert '"C\\\\"' in text
     assert json.loads(text)["graph_id"] == "C\\"
+
+
+def test_record_solves_the_complement_adjacency_spectrum_once(petersen, monkeypatch):
+    # Petersen is regular with diameter 2, so the identity row and the
+    # ee_complement field both need EE of the complement; the distance
+    # spectrum takes its own path, so this counts the adjacency solves
+    calls = []
+    real = spectra_mod.eig_sym
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    for mod in (bounds_mod, records_mod, spectra_mod):
+        if hasattr(mod, "eig_sym"):
+            monkeypatch.setattr(mod, "eig_sym", counting)
+    rec = build_record(petersen)
+    assert len(calls) == 1
+    t6 = rec.bounds[CATALOG_IDS.index("T6_identity")]
+    assert t6.applicable and t6.holds
 
 
 def test_record_json_is_deterministic(petersen):

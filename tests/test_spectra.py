@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from destrada.graphs import Graph, GraphFamily, complement, generate, regularity
+from destrada.graphs import Graph, GraphFamily, complement, generate
 from destrada.metric import distance_matrix
 from destrada.spectra import (
     EigenConvergenceError,
@@ -209,8 +209,8 @@ def test_distance_spectrum_transform_for_regular_diameter_two():
         dm = distance_matrix(g)
         if dm.diameter() > 2:
             continue
-        r = regularity(g)
-        assert r is not None
+        r = g.degree(0)
+        assert set(g.degrees()) == {r}
         adj_s = eig_sym(adjacency_matrix(g))
         derived = lemma2_spectrum(adj_s, g.n, r)
         direct = eig_sym(distance_sym(dm))
@@ -219,7 +219,7 @@ def test_distance_spectrum_transform_for_regular_diameter_two():
 
 def test_complement_spectrum_transform_for_regular_graphs():
     for g in regular_cases():
-        r = regularity(g)
+        r = g.degree(0)
         adj_s = eig_sym(adjacency_matrix(g))
         derived = complement_adj_spectrum(adj_s, g.n, r)
         direct = eig_sym(adjacency_matrix(complement(g)))
@@ -230,7 +230,7 @@ def test_transform_applies_to_disconnected_complements():
     # complement of the 3,3 complete bipartite graph is two disjoint triangles
     g = generate(GraphFamily.multipartite((3, 3)))
     adj_s = eig_sym(adjacency_matrix(g))
-    derived = complement_adj_spectrum(adj_s, g.n, regularity(g))
+    derived = complement_adj_spectrum(adj_s, g.n, 3)
     want = [2.0, 2.0, -1.0, -1.0, -1.0, -1.0]
     assert_spectra_close(derived.values, want, tol=1e-8)
 
