@@ -13,7 +13,6 @@ Usage:
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from destrada.bounds import CATALOG_IDS, evaluate, reports_from
 from destrada.graphs import GraphFamily, generate
@@ -31,17 +30,10 @@ FAMILY_BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class TightnessConfig:
-    families: tuple[str, ...] = tuple(FAMILY_BUILDERS)
-    n_min: int = 3
-    n_max: int = 40
-
-
-def log_gaps(config: TightnessConfig):
-    for name in config.families:
+def log_gaps(families: tuple[str, ...], n_min: int, n_max: int):
+    for name in families:
         build = FAMILY_BUILDERS[name]
-        for n in range(config.n_min, config.n_max + 1):
+        for n in range(n_min, n_max + 1):
             ev = evaluate(generate(build(n)))
             reports = reports_from(ev)
             log_obs = ev.dee.log_value
@@ -66,12 +58,11 @@ def main() -> int:
             parser.error(f"unknown family {name!r}")
     if args.n_min < 3 or args.n_max < args.n_min:
         parser.error("need 3 <= n-min <= n-max")
-    config = TightnessConfig(families=families, n_min=args.n_min, n_max=args.n_max)
 
     cols = ["family", "n", "dee_log"] + ["gap_" + tid.lower() for tid in GAP_ROWS]
     print(",".join(cols))
     negative = []
-    for row in log_gaps(config):
+    for row in log_gaps(families, args.n_min, args.n_max):
         print(",".join(
             row["family"] if c == "family" else
             str(row["n"]) if c == "n" else fmt15(row[c])

@@ -22,12 +22,6 @@ from destrada.numeric import fmt15
 PAIR_ROW = CATALOG_IDS.index(T4_NG_LOWER)
 
 
-@dataclass(frozen=True)
-class PairScanConfig:
-    n_min: int = 4
-    n_max: int = 6
-
-
 @dataclass
 class OrderStats:
     pairs: int = 0
@@ -60,10 +54,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.n_min < 4 or args.n_max < args.n_min or args.n_max > 8:
         parser.error("need 4 <= n-min <= n-max <= 8")
-    config = PairScanConfig(n_min=args.n_min, n_max=args.n_max)
 
     total_failures = 0
-    for n in range(config.n_min, config.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         stats = scan_order(n)
         print(f"n={n}: {stats.pairs} complement pairs, "
               f"min slack {fmt15(stats.min_slack)}, "

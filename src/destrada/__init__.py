@@ -17,7 +17,6 @@ from .bounds import (
     SpectralMismatchError,
     bound_report,
     comparisons_from,
-    distance_estrada,
     estrada_index,
     evaluate,
     is_complete,
@@ -31,8 +30,6 @@ from .graphs import (
     GraphFamily,
     GraphFormatError,
     complement,
-    enumerate_connected,
-    enumerate_regular,
     generate,
     is_connected,
     parse_edge_list,
@@ -44,12 +41,8 @@ from .records import ReportRecord, build_record
 from .spectra import (
     EigenConvergenceError,
     Spectrum,
-    SymMatrix,
     adjacency_matrix,
-    complement_adj_spectrum,
-    count_positive,
     distance_spectrum,
-    distance_sym,
     eig_sym,
     lemma1_check,
     lemma2_spectrum,
@@ -75,22 +68,15 @@ __all__ = [
     "ReportRecord",
     "SpectralMismatchError",
     "Spectrum",
-    "SymMatrix",
     "VerificationSummary",
     "adjacency_matrix",
     "bound_report",
     "build_record",
     "comparisons_from",
     "complement",
-    "complement_adj_spectrum",
-    "count_positive",
-    "distance_estrada",
     "distance_matrix",
     "distance_spectrum",
-    "distance_sym",
     "eig_sym",
-    "enumerate_connected",
-    "enumerate_regular",
     "estrada_index",
     "evaluate",
     "generate",

@@ -136,11 +136,6 @@ def estrada_index(s: Spectrum) -> EstradaValue:
     return EstradaValue(value=value, log_value=log_value, overflowed=False)
 
 
-def distance_estrada(g: Graph) -> EstradaValue:
-    """DEE of a connected graph straight from its distance spectrum."""
-    return estrada_index(distance_spectrum(distance_matrix(g)))
-
-
 # --- catalog formulas, each written once over precomputed graph facts --------
 # Pure functions of a few small integers returning immutable values: a sweep
 # meets the same arguments over and over, and the caches stay as small as the
@@ -188,15 +183,13 @@ def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
 
 
-def is_complete_multipartite(g: Graph, comp: Graph | None = None) -> bool:
-    """True when the complement splits into disjoint cliques (>= 2 parts).
+def is_complete_multipartite(g: Graph, comp: Graph) -> bool:
+    """True when g's complement comp splits into disjoint cliques (>= 2 parts).
 
     The complement is a union of cliques exactly when adjacent vertices
     share their closed neighborhoods; it has a second part whenever g has
-    an edge.  Pass comp when the complement is already built.
+    an edge.
     """
-    if comp is None:
-        comp = complement(g)
     closed = [a | 1 << v for v, a in enumerate(comp.adj)]
     for cv in closed:
         u = cv
@@ -207,12 +200,13 @@ def is_complete_multipartite(g: Graph, comp: Graph | None = None) -> bool:
     return g.m > 0
 
 
-def lemma4_classify(g: Graph, s: Spectrum, comp: Graph | None = None) -> DistSpectrumClass:
+def lemma4_classify(g: Graph, s: Spectrum, comp: Graph) -> DistSpectrumClass:
     """Trichotomy of the least distance eigenvalue, cross-checked structurally.
 
-    lambda_n = -1 exactly at complete graphs, -2 exactly at complete
-    multipartite graphs (n >= 3), and below -2.383 everywhere else; the
-    class is decided from the structure and the spectrum must agree.
+    s is g's distance spectrum and comp its complement.  lambda_n = -1
+    exactly at complete graphs, -2 exactly at complete multipartite graphs
+    (n >= 3), and below -2.383 everywhere else; the class is decided from
+    the structure and the spectrum must agree.
     """
     if g.n < 2:
         raise ValueError("classification needs n >= 2")

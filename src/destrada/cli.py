@@ -15,6 +15,7 @@ import sys
 from .bounds import bound_report
 from .graphs import (
     MAX_ENUM_N,
+    MAX_GRAPH6_N,
     DisconnectedGraphError,
     Graph,
     GraphFamily,
@@ -39,8 +40,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
-
-_RANGE_FAMILIES = ("complete", "cycle", "path", "star", "gnp")
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -113,6 +112,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_order(n: int) -> None:
+    """Reject a family member too large for a graph6 id before building it."""
+    if n > MAX_GRAPH6_N:
+        raise GraphFormatError(
+            f"family member on {n} vertices: graph6 short-form ids"
+            f" support n <= {MAX_GRAPH6_N}"
+        )
+
+
 def _sweep_graphs(args: argparse.Namespace) -> list[Graph]:
     fam = args.family
     if fam == "petersen":
@@ -124,24 +132,14 @@ def _sweep_graphs(args: argparse.Namespace) -> list[Graph]:
             parts = tuple(int(p) for p in args.parts.split(","))
         except ValueError as exc:
             raise GraphFormatError(f"bad --parts {args.parts!r}") from exc
+        _check_order(sum(parts))
         return [generate(GraphFamily.multipartite(parts))]
     if not args.n:
         raise GraphFormatError(f"--n is required for the {fam} family")
     lo, hi = _parse_range(args.n)
-    out = []
-    for n in range(lo, hi + 1):
-        if fam == "complete":
-            spec = GraphFamily.complete(n)
-        elif fam == "cycle":
-            spec = GraphFamily.cycle(n)
-        elif fam == "path":
-            spec = GraphFamily.path(n)
-        elif fam == "star":
-            spec = GraphFamily.star(n)
-        else:
-            spec = GraphFamily.gnp(n, args.p, args.seed)
-        out.append(generate(spec))
-    return out
+    _check_order(hi)
+    extra = {"p": args.p, "seed": args.seed} if fam == "gnp" else {}
+    return [generate(GraphFamily(fam, n=n, **extra)) for n in range(lo, hi + 1)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -1,9 +1,9 @@
 """Simple undirected graphs stored as per-vertex neighbor bitmasks.
 
 Parsing (edge list, graph6), family generators, complement, connectivity,
-and exhaustive labeled enumeration.  Edge bit ``j*(j-1)//2 + i`` for a
-pair ``i < j`` follows the graph6 column order, so a graph's pair mask is
-exactly its graph6 payload bit stream.
+and the exhaustive enumeration of connected labeled pair masks.  Edge bit
+``j*(j-1)//2 + i`` for a pair ``i < j`` follows the graph6 column order,
+so a graph's pair mask is exactly its graph6 payload bit stream.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ class GraphFormatError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """Operation requires a connected graph."""
-
-
-def pair_bit(i: int, j: int) -> int:
-    """Bit index of the unordered pair {i, j} (requires i < j)."""
-    return j * (j - 1) // 2 + i
 
 
 @dataclass(frozen=True)
@@ -71,23 +66,8 @@ class Graph:
                     mask |= 1 << (base + i)
         return mask
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for j in range(1, self.n):
-            row = self.adj[j]
-            for i in range(j):
-                if row >> i & 1:
-                    out.append((i, j))
-        return out
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adj]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -102,6 +82,13 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {lines[0]!r}") from exc
+    # checked before anything is sized by the header
+    if not 1 <= n <= MAX_GRAPH6_N:
+        raise GraphFormatError(
+            f"vertex count {n} outside 1..{MAX_GRAPH6_N} (graph6 short-form ids)"
+        )
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise GraphFormatError(f"edge count {m} outside 0..{n * (n - 1) // 2} for n = {n}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -326,60 +313,3 @@ def connected_pair_masks(n: int, start: int = 0, step: int = 1) -> Iterator[int]
             continue
         if _reaches_all(_mask_adjacency(n, mask), n):
             yield mask
-
-
-def enumerate_connected(n: int) -> Iterator[Graph]:
-    """All connected labeled graphs on n vertices, ascending pair-mask order."""
-    for mask in connected_pair_masks(n):
-        yield Graph.from_pair_mask(n, mask)
-
-
-def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:
-    """Labeled r-regular graphs on n vertices by degree-constrained backtracking.
-
-    Deterministic lexicographic order of neighbor choices; far cheaper than
-    filtering the full 2**C(n,2) enumeration once n reaches 8.
-    """
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
-    if not 0 <= r < n:
-        raise ValueError(f"regularity must satisfy 0 <= r < n, got {r}")
-    if n * r % 2:
-        return
-    adj = [0] * n
-    deg = [0] * n
-
-    def extend(v: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            yield tuple(adj)
-            return
-        need = r - deg[v]
-        if need < 0:
-            return
-        cands = [u for u in range(v + 1, n) if deg[u] < r]
-        if need > len(cands):
-            return
-        # remaining stubs beyond v must pair up among themselves
-        for chosen in itertools.combinations(cands, need):
-            for u in chosen:
-                adj[v] |= 1 << u
-                adj[u] |= 1 << v
-                deg[u] += 1
-            deg[v] = r
-            rest = sum(r - deg[u] for u in range(v + 1, n))
-            if rest % 2 == 0 and all(
-                r - deg[u] <= n - 1 - u + sum(1 for w in range(v + 1, u) if deg[w] < r)
-                for u in range(v + 1, n)
-            ):
-                yield from extend(v + 1)
-            deg[v] = r - need
-            for u in chosen:
-                adj[v] &= ~(1 << u)
-                adj[u] &= ~(1 << v)
-                deg[u] -= 1
-
-    for snapshot in extend(0):
-        g = Graph(n=n, adj=snapshot, m=n * r // 2)
-        if connected_only and not is_connected(g):
-            continue
-        yield g

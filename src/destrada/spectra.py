@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph
-from .metric import DistanceMatrix, sum_sq_distances
+from .metric import DistanceMatrix
 
-# strictly-positive threshold for eigenvalue sign counts
-ZERO_TOL = 1e-9
 # |lambda_1(A) - r| allowed when a spectrum claims to come from an r-regular graph
 REGULAR_SPECTRUM_TOL = 1e-8
 
@@ -30,42 +28,12 @@ class EigenConvergenceError(RuntimeError):
     """QL iteration exceeded the sweep budget (numerically pathological input)."""
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Exactly symmetric real matrix."""
-
-    n: int
-    rows: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "SymMatrix":
-        n = len(rows)
-        data = tuple(tuple(float(x) for x in row) for row in rows)
-        if any(len(row) != n for row in data):
-            raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if data[i][j] != data[j][i]:
-                    raise ValueError(f"asymmetric entries at ({i}, {j})")
-        return cls(n=n, rows=data)
-
-    def trace(self) -> float:
-        return math.fsum(self.rows[i][i] for i in range(self.n))
-
-    def frobenius_sq(self) -> float:
-        return math.fsum(x * x for row in self.rows for x in row)
-
-
-def adjacency_matrix(g: Graph) -> SymMatrix:
-    rows = tuple(
+def adjacency_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
+    """Rows of the 0/1 adjacency matrix as floats."""
+    return tuple(
         tuple(1.0 if g.adj[i] >> j & 1 else 0.0 for j in range(g.n))
         for i in range(g.n)
     )
-    return SymMatrix(n=g.n, rows=rows)
-
-
-def distance_sym(dm: DistanceMatrix) -> SymMatrix:
-    return SymMatrix(n=dm.n, rows=tuple(tuple(float(x) for x in row) for row in dm.rows))
 
 
 @dataclass(frozen=True)
@@ -187,42 +155,26 @@ def _eig_in_place(a: list[list[float]], n: int) -> Spectrum:
     return Spectrum(values=tuple(d))
 
 
-def eig_sym(mat: SymMatrix) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, sorted non-increasing."""
-    return _eig_in_place([list(row) for row in mat.rows], mat.n)
+def eig_sym(rows: Sequence[Sequence[float]]) -> Spectrum:
+    """All eigenvalues of a symmetric matrix given by its rows, sorted non-increasing."""
+    return _eig_in_place([list(row) for row in rows], len(rows))
 
 
 def distance_spectrum(dm: DistanceMatrix) -> Spectrum:
-    """eig_sym(distance_sym(dm)), minus the intermediate SymMatrix copy."""
+    """eig_sym of the distance matrix, solved straight from its integer rows."""
     return _eig_in_place([list(map(float, row)) for row in dm.rows], dm.n)
 
 
-def count_positive(s: Spectrum) -> int:
-    """Number of eigenvalues strictly above the zero threshold."""
-    return sum(1 for v in s.values if v > ZERO_TOL)
-
-
-def lemma1_check(
-    s: Spectrum, dm: DistanceMatrix, ssq2: int | None = None
-) -> tuple[float, float]:
+def lemma1_check(s: Spectrum, ssq2: int) -> tuple[float, float]:
     """Residuals of the two distance-spectrum trace identities.
 
-    Returns (|sum of eigenvalues|, |sum of squares - 2 * sum d_ij^2|); a
-    correct spectrum of dm keeps both below 1e-9 * max(1, 2 * sum d_ij^2).
-    Pass ssq2 = 2 * sum d_ij^2 when it is already known.
+    ssq2 is 2 * sum d_ij^2 over unordered pairs.  Returns (|sum of
+    eigenvalues|, |sum of squares - ssq2|); a correct distance spectrum
+    keeps both below 1e-9 * max(1, ssq2).
     """
-    if ssq2 is None:
-        ssq2 = 2 * sum_sq_distances(dm)
     r_sum = abs(math.fsum(s.values))
     r_sumsq = abs(math.fsum([v * v for v in s.values]) - ssq2)
     return r_sum, r_sumsq
-
-
-def _check_regular_head(s: Spectrum, r: int) -> None:
-    if abs(s.values[0] - r) > REGULAR_SPECTRUM_TOL:
-        raise ValueError(
-            f"leading eigenvalue {s.values[0]!r} does not match regularity {r}"
-        )
 
 
 def lemma2_spectrum(adj_spectrum: Spectrum, n: int, r: int) -> Spectrum:
@@ -230,20 +182,11 @@ def lemma2_spectrum(adj_spectrum: Spectrum, n: int, r: int) -> Spectrum:
 
     {2n - 2 - r} joined with {-2 - lambda_i(A)} over the non-leading values.
     """
-    _check_regular_head(adj_spectrum, r)
+    if abs(adj_spectrum.values[0] - r) > REGULAR_SPECTRUM_TOL:
+        raise ValueError(
+            f"leading eigenvalue {adj_spectrum.values[0]!r} does not match regularity {r}"
+        )
     values = [float(2 * n - 2 - r)]
     values.extend(-2.0 - v for v in adj_spectrum.values[1:])
-    values.sort(reverse=True)
-    return Spectrum(values=tuple(values))
-
-
-def complement_adj_spectrum(adj_spectrum: Spectrum, n: int, r: int) -> Spectrum:
-    """Adjacency spectrum of the complement of an r-regular graph.
-
-    {n - r - 1} joined with {-1 - lambda_i(A)} over the non-leading values.
-    """
-    _check_regular_head(adj_spectrum, r)
-    values = [float(n - r - 1)]
-    values.extend(-1.0 - v for v in adj_spectrum.values[1:])
     values.sort(reverse=True)
     return Spectrum(values=tuple(values))

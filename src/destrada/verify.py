@@ -120,7 +120,7 @@ def _check_graph(
 
         # trace and second-moment identities of the distance spectrum
         moment = 2 * sum_sq_distances(ev.dm)
-        res_sum, res_sq = lemma1_check(ev.spectrum, ev.dm, moment)
+        res_sum, res_sq = lemma1_check(ev.spectrum, moment)
         if res_sum > 1e-9 or res_sq > 1e-9 * moment:
             bad.append((L1_IDENTITY, max(res_sum, res_sq)))
 

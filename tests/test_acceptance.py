@@ -16,24 +16,23 @@ from destrada.bounds import (
     CATALOG_IDS,
     DistSpectrumClass,
     bound_report,
-    distance_estrada,
     evaluate,
     lemma4_classify,
     reports_from,
 )
 from destrada.cli import main
-from destrada.graphs import Graph, GraphFamily, enumerate_regular, generate
-from destrada.metric import distance_matrix
+from destrada.graphs import Graph, GraphFamily, complement, generate
+from destrada.metric import distance_matrix, sum_sq_distances
 from destrada.numeric import SplitMix64
 from destrada.spectra import (
-    SymMatrix,
     adjacency_matrix,
-    distance_sym,
+    distance_spectrum,
     eig_sym,
     lemma1_check,
     lemma2_spectrum,
 )
 from destrada.verify import complete_graph_id, verify_population
+from graph_helpers import enumerate_regular
 
 POPULATION_COUNTS = ((2, 1), (3, 4), (4, 38), (5, 728), (6, 26704), (7, 1866256))
 POPULATION_TOTAL = 1893731
@@ -66,12 +65,12 @@ def regular_diam2_n8():
 def test_criterion_01_complete_graph_spectra_closed_form(k):
     t0 = time.monotonic()
     for n in range(2, 31):
-        s = eig_sym(distance_sym(distance_matrix(k(n)))).values
+        s = distance_spectrum(distance_matrix(k(n))).values
         assert abs(s[0] - (n - 1)) <= 1e-9
         for v in s[1:]:
             assert abs(v + 1.0) <= 1e-9
         closed = math.exp(n - 1) + (n - 1) * math.exp(-1.0)
-        assert math.isclose(distance_estrada(k(n)).value, closed, rel_tol=1e-12)
+        assert math.isclose(evaluate(k(n)).dee.value, closed, rel_tol=1e-12)
     assert time.monotonic() - t0 < 1.0
 
 
@@ -83,7 +82,7 @@ def test_criterion_02_trace_identities_across_the_population(population7):
     # the one-vertex graph, outside the sweep, satisfies both identities exactly
     k1 = Graph.from_pair_mask(1, 0)
     dm = distance_matrix(k1)
-    assert lemma1_check(eig_sym(distance_sym(dm)), dm) == (0.0, 0.0)
+    assert lemma1_check(distance_spectrum(dm), 2 * sum_sq_distances(dm)) == (0.0, 0.0)
     assert elapsed < 600.0, (
         f"single-thread n <= 7 sweep took {elapsed:.1f} s "
         f"({summary.graphs_checked / elapsed:.0f} graphs/s); the bound is 600 s"
@@ -93,8 +92,8 @@ def test_criterion_02_trace_identities_across_the_population(population7):
 def test_criterion_03_regular_distance_spectrum_transform(regular_diam2_n8, petersen):
     assert sum(1 for g in regular_diam2_n8 if g.n <= 7) == 571
     for g in regular_diam2_n8 + [petersen]:
-        mapped = lemma2_spectrum(eig_sym(adjacency_matrix(g)), g.n, g.degree(0))
-        direct = eig_sym(distance_sym(distance_matrix(g)))
+        mapped = lemma2_spectrum(eig_sym(adjacency_matrix(g)), g.n, g.degrees()[0])
+        direct = distance_spectrum(distance_matrix(g))
         diff = max(abs(a - b) for a, b in zip(mapped.values, direct.values))
         assert diff <= 1e-8
 
@@ -115,10 +114,10 @@ def test_criterion_05_least_eigenvalue_trichotomy(population7):
     k5 = generate(GraphFamily.complete(5))
     k23 = generate(GraphFamily.multipartite((2, 3)))
     p4 = generate(GraphFamily.path(4))
-    spectrum = lambda g: eig_sym(distance_sym(distance_matrix(g)))
-    assert lemma4_classify(k5, spectrum(k5)) is DistSpectrumClass.COMPLETE
-    assert lemma4_classify(k23, spectrum(k23)) is DistSpectrumClass.MULTIPARTITE
-    assert lemma4_classify(p4, spectrum(p4)) is DistSpectrumClass.BELOW_2383
+    classify = lambda g: lemma4_classify(g, distance_spectrum(distance_matrix(g)), complement(g))
+    assert classify(k5) is DistSpectrumClass.COMPLETE
+    assert classify(k23) is DistSpectrumClass.MULTIPARTITE
+    assert classify(p4) is DistSpectrumClass.BELOW_2383
 
 
 def test_criterion_06_degree_profile_lower_bound_and_equality_set(population7):
@@ -172,14 +171,14 @@ def test_criterion_10_complement_pair_bound_findings(population7):
 def test_criterion_11_mean_degree_audit_is_documented(k):
     row = bound_report(k(3))[CATALOG_IDS.index("T2_lower")]
     bound = row.bound_value
-    observed = distance_estrada(k(3)).value
+    observed = evaluate(k(3)).dee.value
     assert bound == pytest.approx(
         math.exp(2) + math.exp(-2) + 1.0, rel=1e-14
     )
     assert observed == pytest.approx(math.exp(2) + 2 * math.exp(-1), rel=1e-12)
     assert bound > observed  # the claimed lower bound fails at the triangle
     row = bound_report(k(2))[CATALOG_IDS.index("T2_lower")]
-    assert math.isclose(row.bound_value, distance_estrada(k(2)).value, rel_tol=1e-12)
+    assert math.isclose(row.bound_value, evaluate(k(2)).dee.value, rel_tol=1e-12)
     text = (Path(__file__).parent.parent / "docs" / "findings.md").read_text()
     assert "8.52439138216726" in text
     assert "8.12481498127353" in text
@@ -197,10 +196,9 @@ def test_criterion_12_eigensolver_random_matrix_robustness():
                 x = float(rng.next_u64() % 11) - 5.0
                 rows[i][j] = x
                 rows[j][i] = x
-        mat = SymMatrix.from_rows(rows)
-        s = eig_sym(mat)
-        tr = mat.trace()
-        fr = mat.frobenius_sq()
+        s = eig_sym(rows)
+        tr = math.fsum(rows[i][i] for i in range(n))
+        fr = math.fsum(x * x for row in rows for x in row)
         assert abs(math.fsum(s.values) - tr) <= 1e-9 * max(1.0, abs(tr))
         assert abs(math.fsum(v * v for v in s.values) - fr) <= 1e-9 * max(1.0, fr)
     assert time.monotonic() - t0 < 60.0

@@ -22,7 +22,6 @@ from destrada.bounds import (
     SpectralMismatchError,
     bound_report,
     comparisons_from,
-    distance_estrada,
     estrada_index,
     evaluate,
     is_complete,
@@ -32,7 +31,7 @@ from destrada.bounds import (
 )
 from destrada.graphs import Graph, GraphFamily, complement, generate
 from destrada.metric import distance_matrix
-from destrada.spectra import Spectrum, adjacency_matrix, distance_sym, eig_sym
+from destrada.spectra import Spectrum, adjacency_matrix, distance_spectrum, eig_sym
 
 
 @st.composite
@@ -75,7 +74,7 @@ FROZEN_DEE = [
     "family,want,tol", FROZEN_DEE, ids=lambda x: str(x) if not isinstance(x, GraphFamily) else x.kind + str(x.n or "")
 )
 def test_distance_estrada_matches_frozen_values(family, want, tol):
-    got = distance_estrada(generate(family))
+    got = evaluate(generate(family)).dee
     assert got.value == pytest.approx(want, abs=tol)
     assert not got.overflowed
     assert got.log_value == pytest.approx(math.log(want), rel=1e-12)
@@ -85,7 +84,7 @@ def test_complete_graph_closed_form(k):
     # one eigenvalue n-1 and n-1 copies of -1 give e**(n-1) + (n-1)/e
     for n in range(2, 8):
         want = math.exp(n - 1) + (n - 1) * math.exp(-1.0)
-        got = distance_estrada(k(n)).value
+        got = evaluate(k(n)).dee.value
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
@@ -158,7 +157,7 @@ def test_regular_identity_holds_on_its_domain(k, cycle, petersen):
     for g in (k(4), cycle(5), petersen):
         got = by_id(bound_report(g))["T6_identity"]
         assert got.applicable and got.holds and got.equality
-        assert got.observed == distance_estrada(g).value
+        assert got.observed == evaluate(g).dee.value
         assert math.isclose(got.observed, got.bound_value, rel_tol=1e-9)
 
 
@@ -174,7 +173,7 @@ def test_bounds_require_two_vertices():
     # test_single_vertex_graph_attains_both_base_bounds); these raise
     k1 = Graph.from_pair_mask(1, 0)
     with pytest.raises(ValueError):
-        lemma4_classify(k1, Spectrum(values=(0.0,)))
+        lemma4_classify(k1, Spectrum(values=(0.0,)), k1)
     with pytest.raises(ValueError):
         comparisons_from(evaluate(k1))
 
@@ -234,15 +233,18 @@ def test_estrada_index_overflow_contract():
 # --- structural classifiers --------------------------------------------------
 
 def test_complete_and_multipartite_detection(k, cycle, path, star, petersen):
+    def multipartite(g):
+        return is_complete_multipartite(g, complement(g))
+
     assert is_complete(k(4)) and not is_complete(cycle(4))
-    assert is_complete_multipartite(K23)
-    assert is_complete_multipartite(cycle(4))      # the 2,2 case
-    assert is_complete_multipartite(star(5))       # the 1,n-1 case
-    assert is_complete_multipartite(path(3))       # same graph as star(3)
-    assert not is_complete_multipartite(cycle(5))
-    assert not is_complete_multipartite(path(4))
-    assert not is_complete_multipartite(petersen)
-    assert is_complete_multipartite(k(3))          # all-singleton parts
+    assert multipartite(K23)
+    assert multipartite(cycle(4))      # the 2,2 case
+    assert multipartite(star(5))       # the 1,n-1 case
+    assert multipartite(path(3))       # same graph as star(3)
+    assert not multipartite(cycle(5))
+    assert not multipartite(path(4))
+    assert not multipartite(petersen)
+    assert multipartite(k(3))          # all-singleton parts
 
 
 def test_regular_diameter_two_detection(k, cycle, path, petersen):
@@ -257,22 +259,22 @@ def test_regular_diameter_two_detection(k, cycle, path, petersen):
     assert not flagged(path(3))        # not regular
 
 
-def spectrum_of(g):
-    return eig_sym(distance_sym(distance_matrix(g)))
+def classify(g):
+    return lemma4_classify(g, distance_spectrum(distance_matrix(g)), complement(g))
 
 
 def test_least_eigenvalue_classes(k, cycle, path, petersen):
-    assert lemma4_classify(k(5), spectrum_of(k(5))) is DistSpectrumClass.COMPLETE
-    assert lemma4_classify(K23, spectrum_of(K23)) is DistSpectrumClass.MULTIPARTITE
+    assert classify(k(5)) is DistSpectrumClass.COMPLETE
+    assert classify(K23) is DistSpectrumClass.MULTIPARTITE
     for g in (path(4), cycle(5), cycle(6), petersen):
-        assert lemma4_classify(g, spectrum_of(g)) is DistSpectrumClass.BELOW_2383
+        assert classify(g) is DistSpectrumClass.BELOW_2383
 
 
 def test_classifier_rejects_contradictory_spectra(k):
     g = k(4)
     wrong = Spectrum(values=(5.0, -0.5, -1.0, -3.4))   # least is not -1
     with pytest.raises(SpectralMismatchError):
-        lemma4_classify(g, wrong)
+        lemma4_classify(g, wrong, complement(g))
 
 
 # --- report catalog ----------------------------------------------------------
@@ -356,7 +358,7 @@ def test_pair_bound_row_uses_both_graphs(path):
     got = by_id(bound_report(g))
     row = got["T4_ng_lower"]
     assert row.applicable and row.holds
-    assert row.observed == pytest.approx(2 * distance_estrada(g).value, rel=1e-12)
+    assert row.observed == pytest.approx(2 * evaluate(g).dee.value, rel=1e-12)
     assert row.note == "observed is this graph's index plus its complement's"
 
 
@@ -425,7 +427,7 @@ def test_large_graphs_report_upper_bounds_on_the_log_scale(path):
         assert row.log_domain
         assert row.holds
         # log of the observed index, far below the bound's exponent
-        assert row.observed == pytest.approx(distance_estrada(g).log_value, rel=1e-12)
+        assert row.observed == pytest.approx(evaluate(g).dee.log_value, rel=1e-12)
     # lower bounds stay in the value domain here
     assert not got["T1_lower"].log_domain
     t3_beats, t5_beats = comparisons_from(evaluate(g))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import destrada.spectra as spectra_mod
 from destrada.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -261,3 +262,29 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert runs[0] == runs[1]
     runs = [run(capsys, "bounds", "--g6", "EhEG", "--format", "csv")[1] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_oversized_inputs_are_rejected_before_any_solve(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = spectra_mod._eig_in_place
+    monkeypatch.setattr(spectra_mod, "_eig_in_place", lambda a, n: calls.append(n) or real(a, n))
+    n = 70
+    lines = [f"{n} {n - 1}"] + [f"{i} {i + 1}" for i in range(n - 1)]
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "compute", "--edges", str(path))
+    assert code == EXIT_PARSE and "graph6" in err
+    code, _, err = run(capsys, "sweep", "--family", "path", "--n", "63")
+    assert code == EXIT_PARSE and "graph6" in err
+    code, _, err = run(capsys, "sweep", "--family", "multipartite", "--parts", "31,32")
+    assert code == EXIT_PARSE and "graph6" in err
+    assert calls == []
+
+
+def test_edge_list_header_is_checked_before_allocation(capsys, tmp_path):
+    for header in ("1000000 0", "0 0", "3 4", "3 -1"):
+        path = tmp_path / "header.txt"
+        path.write_text(header + "\n")
+        code, _, err = run(capsys, "compute", "--edges", str(path))
+        assert code == EXIT_PARSE, header
+        assert "count" in err

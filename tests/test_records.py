@@ -10,7 +10,7 @@ import pytest
 import destrada.bounds as bounds_mod
 import destrada.records as records_mod
 import destrada.spectra as spectra_mod
-from destrada.bounds import CATALOG_IDS, bound_report, distance_estrada
+from destrada.bounds import CATALOG_IDS, bound_report, evaluate
 from destrada.graphs import Graph, GraphFamily, generate, to_graph6
 from destrada.numeric import fmt15
 from destrada.records import (
@@ -149,7 +149,7 @@ def test_record_csv_shape_and_cells(k):
     at = {name: row[i] for i, name in enumerate(header)}
     assert at["graph_id"] == "C~"
     assert at["n"] == "4" and at["m"] == "6" and at["rho"] == "1"
-    assert at["dee"] == fmt15(distance_estrada(k(4)).value)
+    assert at["dee"] == fmt15(evaluate(k(4)).dee.value)
     assert at["t3_beats_t1"] == "true" and at["t5_beats_t1"] == "true"
     assert at["T3_lower_equality"] == "true"
     assert at["T6_identity_holds"] == "true"
