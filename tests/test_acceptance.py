@@ -24,6 +24,7 @@ from destrada.cli import main
 from destrada.graphs import Graph, GraphFamily, complement, generate
 from destrada.metric import distance_matrix, sum_sq_distances
 from destrada.numeric import SplitMix64
+from destrada.records import summary_to_json
 from destrada.spectra import (
     adjacency_matrix,
     distance_spectrum,
@@ -87,6 +88,9 @@ def test_criterion_02_trace_identities_across_the_population(population7):
         f"single-thread n <= 7 sweep took {elapsed:.1f} s "
         f"({summary.graphs_checked / elapsed:.0f} graphs/s); the bound is 600 s"
     )
+    # the whole summary, byte for byte, as the labeled sweep printed it
+    golden = Path(__file__).parent / "golden" / "verify_n7.json"
+    assert summary_to_json(summary) + "\n" == golden.read_text(encoding="ascii")
 
 
 def test_criterion_03_regular_distance_spectrum_transform(regular_diam2_n8, petersen):

@@ -41,8 +41,19 @@ def test_verification_golden_is_thread_invariant(threads, capsys):
     assert out == (GOLDEN_DIR / "verify_n4.json").read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_six_vertex_verification_matches_the_labeled_sweep(fmt, threads, capsys):
+    # verify_n6.* were written by the labeled sweep, which checked every
+    # labeled graph on its own; the class sweep must print the same bytes
+    code = main(["verify", "--max-n", "6", "--format", fmt, "--threads", str(threads)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"verify_n6.{fmt}").read_text(encoding="ascii")
+
+
 def test_goldens_are_ascii_with_trailing_newline():
-    for _, golden in CASES:
+    for golden in [c[1] for c in CASES] + ["verify_n6.json", "verify_n6.csv", "verify_n7.json"]:
         raw = (GOLDEN_DIR / golden).read_bytes()
         raw.decode("ascii")
         assert raw.endswith(b"\n")
