@@ -1,9 +1,9 @@
 """Command-line surface: compute, bounds, sweep, verify.
 
 Exit codes: 0 success, 2 parse error (inputs or arguments), 3 precondition
-violation (disconnected graph, family constraint, max-n out of range),
-4 verification found a violated invariant.  Output is byte-deterministic
-for a fixed input, including across --threads settings.
+violation (disconnected graph, family constraint, max-n or thread count
+out of range), 4 verification found a violated invariant.  Output is
+byte-deterministic for a fixed input, including across --threads settings.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .records import (
     summary_to_csv,
     summary_to_json,
 )
-from .verify import verify_population
+from .verify import MAX_THREADS, verify_population
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: DEE_THREADS or 1)")
+                   help=f"worker processes, 1..{MAX_THREADS} (default: DEE_THREADS or 1)")
     p.set_defaults(func=_cmd_verify)
     return parser
 

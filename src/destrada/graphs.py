@@ -1,7 +1,8 @@
 """Simple undirected graphs stored as per-vertex neighbor bitmasks.
 
 Parsing (edge list, graph6), family generators, complement, connectivity,
-and the exhaustive enumeration of connected labeled pair masks.  Edge bit
+the exhaustive enumeration of connected labeled pair masks, and the
+connected isomorphism classes with their labelings.  Edge bit
 ``j*(j-1)//2 + i`` for a pair ``i < j`` follows the graph6 column order,
 so a graph's pair mask is exactly its graph6 payload bit stream.
 """
@@ -9,6 +10,7 @@ so a graph's pair mask is exactly its graph6 payload bit stream.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -57,14 +59,7 @@ class Graph:
         return cls(n=n, adj=tuple(_mask_adjacency(n, mask)), m=mask.bit_count())
 
     def pair_mask(self) -> int:
-        mask = 0
-        for j in range(1, self.n):
-            row = self.adj[j]
-            base = j * (j - 1) // 2
-            for i in range(j):
-                if row >> i & 1:
-                    mask |= 1 << (base + i)
-        return mask
+        return _adjacency_mask(self.adj)
 
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adj]
@@ -205,9 +200,6 @@ class GraphFamily:
     @classmethod
     def petersen(cls): return cls("petersen")
 
-    @classmethod
-    def gnp(cls, n, p, seed): return cls("gnp", n=n, p=p, seed=seed)
-
 
 def generate(family: GraphFamily) -> Graph:
     """Build the standard labeled graph of a family."""
@@ -302,14 +294,175 @@ def _mask_adjacency(n: int, mask: int) -> list[int]:
     return adj
 
 
-def connected_pair_masks(n: int, start: int = 0, step: int = 1) -> Iterator[int]:
-    """Ascending pair masks of connected labeled graphs; stride lets workers shard."""
+def _adjacency_mask(adj: Sequence[int]) -> int:
+    """Pair mask of neighbor bitmasks: vertex j's lower neighbors fill the run at j(j-1)/2."""
+    mask = 0
+    base = 0
+    for j in range(1, len(adj)):
+        mask |= (adj[j] & ((1 << j) - 1)) << base
+        base += j
+    return mask
+
+
+def connected_pair_masks(n: int) -> Iterator[int]:
+    """Ascending pair masks of connected labeled graphs."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
     npairs = n * (n - 1) // 2
     need = n - 1  # fewer edges can never connect n vertices
-    for mask in range(start, 1 << npairs, step):
+    for mask in range(1 << npairs):
         if mask.bit_count() < need:
             continue
         if _reaches_all(_mask_adjacency(n, mask), n):
             yield mask
+
+
+# --- isomorphism classes -----------------------------------------------------
+# Partitions are ordered lists of vertex bitmasks ("cells").  Every step
+# below depends only on the graph and the order of the cells, never on
+# vertex names, so isomorphic graphs reach the same canonical mask.
+
+def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
+    """Split cells by neighbor counts into each cell until the partition is equitable.
+
+    A split cell is replaced by its fragments in ascending count order.
+    """
+    k = 0
+    while k < len(cells):
+        splitter = cells[k]
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    b = rest & -rest
+                    c = (adj[b.bit_length() - 1] & splitter).bit_count()
+                    parts[c] = parts.get(c, 0) | b
+                    rest ^= b
+                if len(parts) > 1:
+                    out.extend(parts[c] for c in sorted(parts))
+                    continue
+            out.append(cell)
+        k = 0 if len(out) > len(cells) else k + 1
+        cells = out
+    return cells
+
+
+def _bits(x: int) -> list[int]:
+    """The single-bit masks of x, ascending."""
+    out = []
+    while x:
+        b = x & -x
+        out.append(b)
+        x ^= b
+    return out
+
+
+def _are_twins(adj: Sequence[int], cell: int) -> bool:
+    """True when every permutation of cell is an automorphism fixing the other vertices.
+
+    That holds when the cell is a clique or an independent set and its
+    vertices share their neighbors outside it.
+    """
+    members = _bits(cell)
+    first = adj[members[0].bit_length() - 1]
+    outside, clique = first & ~cell, bool(first & cell)
+    return all(
+        adj[b.bit_length() - 1] & ~cell == outside
+        and adj[b.bit_length() - 1] & cell == (cell ^ b if clique else 0)
+        for b in members
+    )
+
+
+def _canonical(adj: Sequence[int]) -> tuple[int, int]:
+    """(canonical pair mask, |Aut|) by colour refinement and individualization.
+
+    The search tree individualizes each vertex of the first non-singleton
+    cell in turn and refines again; its leaves order the vertices, and the
+    canonical mask is the smallest pair mask among them.  Automorphisms
+    permute the leaves freely, so |Aut| leaves reach that mask.  A cell of
+    twins is ordered at once, standing for its k! equal leaves.
+    """
+    n = len(adj)
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    best, aut = -1, 0
+    stack = [(_refine(adj, [by_degree[d] for d in sorted(by_degree)]), 1)]
+    while stack:
+        cells, weight = stack.pop()
+        i = next((i for i, c in enumerate(cells) if c & (c - 1)), -1)
+        if i < 0:
+            pos = [0] * n
+            for p, b in enumerate(cells):
+                pos[b.bit_length() - 1] = p
+            rows = [0] * n
+            for v, a in enumerate(adj):
+                for b in _bits(a):
+                    rows[pos[v]] |= 1 << pos[b.bit_length() - 1]
+            mask = _adjacency_mask(rows)
+            if best < 0 or mask < best:
+                best, aut = mask, weight
+            elif mask == best:
+                aut += weight
+            continue
+        cell = cells[i]
+        if _are_twins(adj, cell):
+            stack.append((cells[:i] + _bits(cell) + cells[i + 1:],
+                          weight * math.factorial(cell.bit_count())))
+            continue
+        for b in _bits(cell):
+            stack.append((_refine(adj, cells[:i] + [b, cell ^ b] + cells[i + 1:]), weight))
+    return best, aut
+
+
+def canonical_form(n: int, mask: int) -> tuple[int, int]:
+    """(canonical pair mask, automorphism group order) of a labeled graph."""
+    return _canonical(_mask_adjacency(n, mask))
+
+
+def connected_classes(max_n: int) -> dict[int, list[tuple[int, int]]]:
+    """Connected isomorphism classes of each order 1..max_n: ascending (canonical mask, |Aut|).
+
+    Order n grows from order n - 1 by joining a new vertex to each nonempty
+    subset of a representative's vertices.  That reaches every class,
+    because a connected graph stays connected without some vertex (a leaf
+    of a spanning tree); canonical forms merge the duplicates (isomorph-free
+    generation after Read 1978 and McKay 1998).  A class has n!/|Aut|
+    labelings.
+    """
+    if not 1 <= max_n <= MAX_ENUM_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
+    table = {1: [(0, 1)]}
+    for n in range(2, max_n + 1):
+        base = (n - 1) * (n - 2) // 2  # the new vertex's pairs start here
+        found: dict[int, int] = {}
+        for mask, _ in table[n - 1]:
+            for nbrs in range(1, 1 << (n - 1)):
+                canon, aut = canonical_form(n, mask | nbrs << base)
+                found[canon] = aut
+        table[n] = sorted(found.items())
+    return table
+
+
+def labelings(n: int, mask: int) -> list[int]:
+    """Every pair mask of the graph under relabeling, ascending.
+
+    The orbit is closed under swaps of adjacent vertices, which generate
+    every permutation.
+    """
+    seen = {mask}
+    todo = [mask]
+    while todo:
+        adj = _mask_adjacency(n, todo.pop())
+        for i in range(n - 1):
+            two = 3 << i
+            rows = [a ^ two if (a >> i ^ a >> (i + 1)) & 1 else a for a in adj]
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            swapped = _adjacency_mask(rows)
+            if swapped not in seen:
+                seen.add(swapped)
+                todo.append(swapped)
+    return sorted(seen)

@@ -1,16 +1,26 @@
 """Exhaustive verification of the bound catalog over small labeled graphs.
 
-Walks every connected labeled graph on 2..max_n vertices (by adjacency
-bitmask), runs the full per-graph check battery, and aggregates violations,
-descriptive findings, and equality hits in deterministic enumeration order.
-Each distance spectrum is solved once: when a graph and its complement are
-both connected, the smaller of their two masks owns the pair and checks
-both graphs.  Work can be sharded across processes; the merge re-sorts by
-(n, mask) so the summary is identical for any shard count.
+Every check reads only a graph's distance spectrum, degrees and
+complement, so it gives the same verdict on every labeling of one
+isomorphism class.  The sweep therefore evaluates each connected class
+once, together with its complement class when that is connected, and
+counts the class's n!/|Aut| labelings.  The summary still names labeled
+graphs and prints slacks whose last digits vary between labelings, so a
+class pair is expanded into all of its labelings, each given the
+labeled battery, when its representative records anything, when its T3
+slack is within T3_TIE_REL of the best at its order, or when a verdict
+margin sits within NOISE_BAND of its threshold.
+
+Each labeled distance spectrum is solved once: when a graph and its
+complement are both connected, the smaller of their two masks owns the
+pair and checks both graphs.  Work can be sharded across processes; the
+merge re-sorts by (n, mask) so the summary is identical for any shard
+count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -18,15 +28,26 @@ from dataclasses import dataclass
 from .bounds import (
     ASSERTED,
     CATALOG,
+    IDENTITY_REL_TOL,
     SIGNATURE_ABS_TOL,
     STRICT_SLACK,
+    BoundReport,
     GraphEvaluation,
     SpectralMismatchError,
     cross_checks,
     evaluate,
     reports_from,
 )
-from .graphs import MAX_ENUM_N, Graph, complement, connected_pair_masks, is_connected, to_graph6
+from .graphs import (
+    MAX_ENUM_N,
+    Graph,
+    canonical_form,
+    complement,
+    connected_classes,
+    is_connected,
+    labelings,
+    to_graph6,
+)
 from .metric import sum_sq_distances
 from .spectra import (
     EigenConvergenceError,
@@ -42,6 +63,15 @@ L2_TRANSFORM = "L2_transform"
 L4_CONTRADICTION = "L4_contradiction"
 EIG_FAILURE = "EIG_convergence"
 T3_ARGMAX = "T3_argmax_sanity"
+
+# Labelings of one class differ by rounding, about 1e-14 relative; a margin
+# within NOISE_BAND * max(1, |scale|) of its threshold could flip between them
+NOISE_BAND = 1e-10
+# T3 slacks within this relative distance of the best at an order may rank
+# differently on another labeling, so their classes join the argmax
+T3_TIE_REL = 1e-9
+# worker processes; a larger --threads or DEE_THREADS is rejected before any fork
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -70,6 +100,27 @@ def _evaluate(g: Graph, comp: Graph) -> GraphEvaluation | None:
         return None
 
 
+def _near(value: float, threshold: float, scale: float) -> bool:
+    return abs(value - threshold) <= NOISE_BAND * max(1.0, abs(scale))
+
+
+def _row_near_threshold(r: BoundReport) -> bool:
+    """True when r's slack is within the noise band of a threshold a verdict uses.
+
+    The thresholds are the holds and equality tolerance, the signature
+    tolerance of the L3 cross-check and of L4, and for strict rows zero and
+    STRICT_SLACK; checking all of them on every row errs toward expanding.
+    """
+    scale = max(1.0, abs(r.observed))
+    band = NOISE_BAND * scale
+    s = abs(r.slack)
+    return (
+        abs(s - IDENTITY_REL_TOL * scale) <= band
+        or abs(s - SIGNATURE_ABS_TOL) <= band
+        or r.strict_required and (s <= band or abs(s - STRICT_SLACK) <= band)
+    )
+
+
 def _check_graph(
     g: Graph,
     mask: int,
@@ -77,14 +128,15 @@ def _check_graph(
     own_t4: bool = True,
     comp_ev: GraphEvaluation | None = None,
 ):
-    """Full battery for one graph; returns (violations, findings, hits, t3_slack).
+    """Full battery for one graph; returns (violations, findings, hits, t3_slack, near).
 
     ev is g's evaluation, None when its solve failed.  The owner of a
     {graph, complement} pair checks the pair row with comp_ev, the
     complement's evaluation; its partner passes own_t4=False.  An owner
     whose complement could not be solved records EIG_convergence too.
     Entry tuples are prefixed (n, mask, ...) so a sharded merge can restore
-    enumeration order.  The graph6 id is only rendered when something gets
+    enumeration order.  near is set when a verdict margin sits within the
+    noise band.  The graph6 id is only rendered when something gets
     recorded.
     """
     n = g.n
@@ -102,12 +154,14 @@ def _check_graph(
             bad.append((L4_CONTRADICTION, math.nan))
 
     t3_slack = math.nan
+    near = False
     if reports is not None:
         # one verdict rule for every applicable row; the catalog says whether
         # a failure is a violation or a finding
         for (_, verdict, equality_tracked, _), r in zip(CATALOG, reports):
             if not r.applicable:
                 continue
+            near = near or _row_near_threshold(r)
             if equality_tracked and r.equality:
                 hit_ids.append(r.theorem_id)
             if verdict is not None and not (
@@ -123,6 +177,7 @@ def _check_graph(
         res_sum, res_sq = lemma1_check(ev.spectrum, moment)
         if res_sum > 1e-9 or res_sq > 1e-9 * moment:
             bad.append((L1_IDENTITY, max(res_sum, res_sq)))
+        near = near or _near(res_sum, 1e-9, 1.0) or _near(res_sq, 1e-9 * moment, moment)
 
         # regular diameter-<=2 graphs: distance spectrum via the adjacency transform
         if ev.r is not None and ev.rho <= 2:
@@ -131,95 +186,112 @@ def _check_graph(
             diff = max(abs(a - b) for a, b in zip(mapped.values, ev.spectrum.values))
             if diff > SIGNATURE_ABS_TOL:
                 bad.append((L2_TRANSFORM, diff))
+            near = near or _near(diff, SIGNATURE_ABS_TOL, ev.spectrum.values[0])
 
     if not (bad or found or hit_ids):
-        return (), (), (), t3_slack
+        return (), (), (), t3_slack, near
     gid = to_graph6(g)
     return (
         tuple((n, mask, gid, cid, s) for cid, s in bad),
         tuple((n, mask, gid, cid, s) for cid, s in found),
         tuple((n, mask, gid, cid) for cid in hit_ids),
         t3_slack,
+        near,
     )
 
 
-def _checked_masks(n: int, start: int, step: int):
-    """(mask, battery result) for every graph this shard owns.
+def _check_pair(n: int, mask: int):
+    """The battery on a connected labeled graph and, when connected, its complement.
 
-    A mask whose complement is connected and smaller is skipped: the
-    shard that enumerates that smaller mask evaluates both graphs.
+    Either graph of a pair may be given.  The smaller mask owns the pair:
+    both graphs are evaluated once and the owner checks the pair row.
+    Returns (mask, battery result) per graph, owner first.
+    """
+    g = Graph.from_pair_mask(n, mask)
+    comp = complement(g)
+    if not is_connected(comp):
+        return [(mask, _check_graph(g, mask, _evaluate(g, comp)))]
+    comp_mask = ((1 << (n * (n - 1) // 2)) - 1) ^ mask
+    if comp_mask < mask:
+        g, comp, mask, comp_mask = comp, g, comp_mask, mask
+    ev = _evaluate(g, comp)
+    comp_ev = _evaluate(comp, g)
+    return [
+        (mask, _check_graph(g, mask, ev, True, comp_ev)),
+        (comp_mask, _check_graph(comp, comp_mask, comp_ev, own_t4=False)),
+    ]
+
+
+def _run_shard(args: tuple[int, list[int]]):
+    """_check_pair on each mask of one (n, masks) shard; picklable for Pool."""
+    n, masks = args
+    return [_check_pair(n, mask) for mask in masks]
+
+
+def _run_shards(pool, threads: int, jobs: dict[int, list[int]]) -> dict[tuple[int, int], list]:
+    """_check_pair on every mask of jobs ({n: masks}), keyed by (n, mask).
+
+    Each order's masks are dealt round-robin to `threads` shards, which run
+    in the pool, or here when pool is None.
+    """
+    shards = [(n, masks[k::threads]) for n, masks in jobs.items() for k in range(threads)]
+    if pool is None:
+        outs = [_run_shard(s) for s in shards]
+    else:
+        outs = pool.map(_run_shard, shards, chunksize=1)
+    return {(n, m): res for (n, sub), out in zip(shards, outs) for m, res in zip(sub, out)}
+
+
+def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, bool]]:
+    """(representative, complement connected) for each class and complement-class pair.
+
+    A pair is represented by its smaller canonical mask; the complement of
+    that labeling is the other class's representative.
     """
     full = (1 << (n * (n - 1) // 2)) - 1
-    for mask in connected_pair_masks(n, start=start, step=step):
-        g = Graph.from_pair_mask(n, mask)
-        comp = complement(g)
-        if not is_connected(comp):
-            yield mask, _check_graph(g, mask, _evaluate(g, comp))
+    taken = set()
+    pairs = []
+    for mask, _ in classes:
+        if mask in taken:
             continue
-        comp_mask = full ^ mask
-        if comp_mask < mask:
-            continue
-        ev = _evaluate(g, comp)
-        comp_ev = _evaluate(comp, g)
-        yield mask, _check_graph(g, mask, ev, True, comp_ev)
-        yield comp_mask, _check_graph(comp, comp_mask, comp_ev, own_t4=False)
+        comp_connected = is_connected(Graph.from_pair_mask(n, full ^ mask))
+        if comp_connected:
+            taken.add(canonical_form(n, full ^ mask)[0])
+        pairs.append((mask, comp_connected))
+    return pairs
 
 
-def _run_shard(args: tuple[int, int, int]):
-    """One (n, residue, step) slice of the enumeration; picklable for Pool."""
-    n, start, step = args
+def _expands(pair, best: float) -> bool:
+    """Whether a representative pair's results call for every labeling."""
+    floor = best - T3_TIE_REL * max(1.0, abs(best))
+    return any(v or f or h or near or t3 >= floor for _, (v, f, h, t3, near) in pair)
+
+
+def _owners(n: int, rep: int, comp_connected: bool) -> set[int]:
+    """The owner masks of every labeled pair in a class pair."""
+    if not comp_connected:
+        return set(labelings(n, rep))
+    full = (1 << (n * (n - 1) // 2)) - 1
+    return {min(x, full ^ x) for x in labelings(n, rep)}
+
+
+def _summarize(max_n: int, counts: dict[int, int], checked) -> VerificationSummary:
+    """The summary of labeled battery results, given as (n, mask, result) triples.
+
+    counts holds the number of connected labeled graphs at each order.
+    """
     violations = []
     findings = []
     hits = []
-    count = 0
-    best = (-math.inf, -1)  # (slack, mask); smaller mask wins ties
-    for mask, (v, f, h, t3_slack) in _checked_masks(n, start, step):
+    best_by_n: dict[int, tuple[float, int]] = {}  # (slack, mask); smaller mask wins ties
+    for n, mask, (v, f, h, t3_slack, _) in checked:
         violations.extend(v)
         findings.extend(f)
         hits.extend(h)
-        count += 1
         if t3_slack == t3_slack:  # skip nan
-            if t3_slack > best[0] or (t3_slack == best[0] and mask < best[1]):
-                best = (t3_slack, mask)
-    return n, count, violations, findings, hits, best
-
-
-def complete_graph_id(n: int) -> str:
-    return to_graph6(Graph.from_pair_mask(n, (1 << (n * (n - 1) // 2)) - 1))
-
-
-def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
-    """Sweep all connected labeled graphs with 2 <= n <= max_n."""
-    if not 2 <= max_n <= MAX_ENUM_N:
-        raise ValueError(f"max_n must be in [2, {MAX_ENUM_N}]")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-    shards = [(n, k, threads) for n in range(2, max_n + 1) for k in range(threads)]
-    if threads == 1:
-        results = [_run_shard(s) for s in shards]
-    else:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            results = pool.map(_run_shard, shards, chunksize=1)
-
-    counts: dict[int, int] = {n: 0 for n in range(2, max_n + 1)}
-    violations = []
-    findings = []
-    hits = []
-    best_by_n: dict[int, tuple[float, int]] = {}
-    for n, count, v, f, h, best in results:
-        counts[n] += count
-        violations.extend(v)
-        findings.extend(f)
-        hits.extend(h)
-        if best[1] >= 0:
             cur = best_by_n.get(n)
-            if cur is None or best[0] > cur[0] or (best[0] == cur[0] and best[1] < cur[1]):
-                best_by_n[n] = best
-
-    violations.sort(key=lambda e: (e[0], e[1], e[3]))
-    findings.sort(key=lambda e: (e[0], e[1], e[3]))
-    hits.sort(key=lambda e: (e[0], e[1], e[3]))
+            if cur is None or t3_slack > cur[0] or (t3_slack == cur[0] and mask < cur[1]):
+                best_by_n[n] = (t3_slack, mask)
 
     argmax_rows = []
     for n in sorted(best_by_n):
@@ -231,6 +303,8 @@ def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
             violations.append((n, mask, gid, T3_ARGMAX, slack))
 
     violations.sort(key=lambda e: (e[0], e[1], e[3]))
+    findings.sort(key=lambda e: (e[0], e[1], e[3]))
+    hits.sort(key=lambda e: (e[0], e[1], e[3]))
     return VerificationSummary(
         population=f"connected labeled graphs with 2 <= n <= {max_n}",
         max_n=max_n,
@@ -241,3 +315,46 @@ def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
         equality_hits=tuple((gid, cid) for _, _, gid, cid in hits),
         t3_argmax=tuple(argmax_rows),
     )
+
+
+def complete_graph_id(n: int) -> str:
+    return to_graph6(Graph.from_pair_mask(n, (1 << (n * (n - 1) // 2)) - 1))
+
+
+def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
+    """Sweep all connected labeled graphs with 2 <= n <= max_n, class by class."""
+    if not 2 <= max_n <= MAX_ENUM_N:
+        raise ValueError(f"max_n must be in [2, {MAX_ENUM_N}]")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be in [1, {MAX_THREADS}]")
+
+    classes = connected_classes(max_n)
+    orders = range(2, max_n + 1)
+    counts = {n: sum(math.factorial(n) // aut for _, aut in classes[n]) for n in orders}
+    pairs = {n: _class_pairs(n, classes[n]) for n in orders}
+
+    if threads > 1:
+        pool_cm = multiprocessing.get_context("fork").Pool(threads)
+    else:
+        pool_cm = contextlib.nullcontext()  # None: shards run in this process
+    with pool_cm as pool:
+        # one evaluation per class, then every labeling of the pairs that need it
+        reps = _run_shards(pool, threads, {n: [rep for rep, _ in pairs[n]] for n in orders})
+        checked = []
+        expand: dict[int, list[int]] = {}
+        for n in orders:
+            best = max(
+                (r[3] for rep, _ in pairs[n] for _, r in reps[n, rep] if r[3] == r[3]),
+                default=math.nan,
+            )
+            owners: set[int] = set()
+            for rep, comp_connected in pairs[n]:
+                pair = reps[n, rep]
+                if _expands(pair, best):
+                    checked.extend((n, mask, r) for mask, r in pair)
+                    owners |= _owners(n, rep, comp_connected) - {pair[0][0]}
+            expand[n] = sorted(owners)
+        for (n, _), pair in _run_shards(pool, threads, expand).items():
+            checked.extend((n, mask, r) for mask, r in pair)
+
+    return _summarize(max_n, counts, checked)

@@ -2,13 +2,15 @@
 
 edges() lists a graph's edges for networkx and other reference code;
 enumerate_regular() generates the labeled regular graphs on up to 8
-vertices that acceptance criteria 03 and 09 sweep.
+vertices that acceptance criteria 03 and 09 sweep; labeled_sweep() is
+the labeled reference for the class sweep of verify_population().
 """
 
 import itertools
 from typing import Iterator
 
-from destrada.graphs import MAX_ENUM_N, Graph, is_connected
+from destrada.graphs import MAX_ENUM_N, Graph, connected_pair_masks, is_connected
+from destrada.verify import VerificationSummary, _check_pair, _summarize
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:
@@ -65,3 +67,26 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
         if connected_only and not is_connected(g):
             continue
         yield g
+
+
+def labeled_sweep(max_n: int) -> VerificationSummary:
+    """verify_population(max_n) computed one labeled graph at a time.
+
+    Walks every connected labeled graph in mask order and gives each
+    unordered {graph, complement} pair verify's per-graph battery once,
+    at its first mask; the partner's mask is skipped when the walk
+    reaches it.  No isomorphism class is formed, so it is the
+    differential oracle for the class sweep.
+    """
+    counts = {}
+    checked = []
+    for n in range(2, max_n + 1):
+        done = set()
+        for mask in connected_pair_masks(n):
+            counts[n] = counts.get(n, 0) + 1
+            if mask in done:
+                continue
+            for m, result in _check_pair(n, mask):
+                done.add(m)
+                checked.append((n, m, result))
+    return _summarize(max_n, counts, checked)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, formats, determinism, output files."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -13,6 +14,7 @@ from destrada.cli import (
     main,
 )
 from destrada.graphs import GraphFamily, generate, to_graph6
+from destrada.verify import MAX_THREADS
 
 
 def run(capsys, *argv):
@@ -190,6 +192,23 @@ def test_verify_thread_count_from_environment(capsys, monkeypatch):
     assert code == EXIT_OK
     monkeypatch.setenv("DEE_THREADS", "not-a-number")
     assert run(capsys, "verify", "--max-n", "3")[0] == EXIT_PARSE
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_verify_rejects_thread_counts_above_the_cap_before_any_fork(source, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    for threads in (MAX_THREADS + 1, 100000):
+        if source == "flag":
+            argv = ("verify", "--max-n", "6", "--threads", str(threads))
+        else:
+            monkeypatch.setenv("DEE_THREADS", str(threads))
+            argv = ("verify", "--max-n", "6")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PRECONDITION
+        assert out == "" and f"threads must be in [1, {MAX_THREADS}]" in err
 
 
 # --- input validation and exit codes -----------------------------------------

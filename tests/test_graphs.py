@@ -6,6 +6,7 @@ checked against the classical subtraction recurrence.
 """
 
 import itertools
+import math
 
 import networkx as nx
 import pytest
@@ -18,10 +19,13 @@ from destrada.graphs import (
     Graph,
     GraphFamily,
     GraphFormatError,
+    canonical_form,
     complement,
+    connected_classes,
     connected_pair_masks,
     generate,
     is_connected,
+    labelings,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -193,14 +197,14 @@ def test_petersen_family_matches_reference(petersen):
 
 
 def test_gnp_is_deterministic_for_a_seed():
-    a = generate(GraphFamily.gnp(12, 0.4, seed=7))
-    b = generate(GraphFamily.gnp(12, 0.4, seed=7))
+    a = generate(GraphFamily("gnp", n=12, p=0.4, seed=7))
+    b = generate(GraphFamily("gnp", n=12, p=0.4, seed=7))
     assert a == b
 
 
 def test_gnp_extreme_probabilities():
-    assert generate(GraphFamily.gnp(6, 0.0, seed=1)).m == 0
-    assert generate(GraphFamily.gnp(6, 1.0, seed=1)).m == 15
+    assert generate(GraphFamily("gnp", n=6, p=0.0, seed=1)).m == 0
+    assert generate(GraphFamily("gnp", n=6, p=1.0, seed=1)).m == 15
 
 
 @pytest.mark.parametrize(
@@ -211,7 +215,7 @@ def test_gnp_extreme_probabilities():
         lambda: GraphFamily.cycle(2),
         lambda: GraphFamily.multipartite((4,)),
         lambda: GraphFamily.multipartite((2, 0)),
-        lambda: GraphFamily.gnp(5, 1.5, seed=0),
+        lambda: GraphFamily("gnp", n=5, p=1.5, seed=0),
         lambda: GraphFamily("gnp", n=5, p=0.5, seed=None),
     ],
 )
@@ -299,16 +303,6 @@ def test_enumeration_rejects_out_of_range_order():
         list(connected_pair_masks(MAX_ENUM_N + 1))
 
 
-def test_sharded_enumeration_partitions_the_population():
-    whole = list(connected_pair_masks(5))
-    shards = [list(connected_pair_masks(5, start=r, step=3)) for r in range(3)]
-    assert sorted(itertools.chain.from_iterable(shards)) == whole
-    seen = set()
-    for shard in shards:
-        assert not (seen & set(shard))
-        seen |= set(shard)
-
-
 def test_enumerate_connected_yields_graphs_in_mask_order():
     gs = [Graph.from_pair_mask(3, mask) for mask in connected_pair_masks(3)]
     assert [g.pair_mask() for g in gs] == [3, 5, 6, 7]
@@ -348,3 +342,57 @@ def test_regular_enumeration_connected_filter():
 
 def test_regular_enumeration_odd_parity_is_empty():
     assert list(enumerate_regular(5, 3)) == []
+
+
+# --- isomorphism classes -----------------------------------------------------
+
+def test_classes_match_the_networkx_atlas():
+    # the atlas lists every graph on up to seven vertices once per class
+    table = connected_classes(7)
+    assert [len(table[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    atlas: dict[int, set[int]] = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g()[1:]:
+        if nx.is_connected(h):
+            n = h.number_of_nodes()
+            g = Graph.from_edges(n, list(h.edges()))
+            atlas[n].add(canonical_form(n, g.pair_mask())[0])
+    for n in range(1, 8):
+        assert [m for m, _ in table[n]] == sorted(atlas[n])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_automorphism_counts_match_networkx(n):
+    for mask, aut in connected_classes(n)[n]:
+        h = to_nx(Graph.from_pair_mask(n, mask))
+        assert aut == sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+
+
+def test_labeling_counts_follow_a001187_to_eight_vertices():
+    # orbit-stabiliser: a class has n!/|Aut| labelings
+    table = connected_classes(8)
+    sums = [sum(math.factorial(n) // aut for _, aut in table[n]) for n in range(1, 9)]
+    assert sums == [connected_count_recurrence(n) for n in range(1, 9)]
+    assert sums[-1] == 251548592
+    assert len(table[8]) == 11117
+
+
+@given(graphs(max_n=7), st.randoms(use_true_random=False))
+def test_labelings_are_closed_under_relabeling(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in edges(g)])
+    labs = labelings(g.n, g.pair_mask())
+    assert labs == sorted(set(labs))
+    assert h.pair_mask() in labs
+    assert labelings(g.n, h.pair_mask()) == labs
+    canon, aut = canonical_form(g.n, g.pair_mask())
+    assert canonical_form(g.n, h.pair_mask()) == (canon, aut)
+    assert canon in labs
+    assert len(labs) == math.factorial(g.n) // aut
+
+
+def test_classes_reject_out_of_range_order():
+    with pytest.raises(ValueError):
+        connected_classes(0)
+    with pytest.raises(ValueError):
+        connected_classes(MAX_ENUM_N + 1)

@@ -1,16 +1,22 @@
-"""Exhaustive-sweep harness: shard merging, dedup, and summary contents."""
+"""Exhaustive-sweep harness: the class sweep against the labeled one, shard
+merging, dedup, and summary contents."""
 
 import pytest
 
 import destrada.bounds as bounds_mod
 import destrada.spectra as spectra_mod
-from destrada.graphs import Graph, to_graph6
+from destrada.graphs import Graph, canonical_form, connected_classes, labelings, to_graph6
+from destrada.metric import distance_matrix
 from destrada.spectra import EigenConvergenceError
 from destrada.verify import (
+    MAX_THREADS,
     VerificationSummary,
     complete_graph_id,
     verify_population,
 )
+from graph_helpers import labeled_sweep
+
+FULL5 = (1 << 10) - 1  # every vertex pair on five vertices
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +31,8 @@ def test_population_validation():
         verify_population(9)
     with pytest.raises(ValueError):
         verify_population(3, threads=0)
+    with pytest.raises(ValueError):
+        verify_population(3, threads=MAX_THREADS + 1)
 
 
 def test_two_vertex_population():
@@ -76,39 +84,74 @@ def test_sharded_run_matches_serial(pop5):
         assert verify_population(5, threads=threads) == pop5
 
 
-def test_each_distance_spectrum_is_solved_once(monkeypatch):
-    # every distance matrix the sweep builds is eigensolved, so counting the
-    # matrices counts the spectra; a complement solved again would add one
-    seen = []
+@pytest.mark.parametrize("max_n", [2, 3, 4, 5, 6])
+def test_class_sweep_equals_the_labeled_sweep(max_n, pop5):
+    # the labeled sweep checks all 27,475 labeled graphs one by one
+    class_sweep = pop5 if max_n == 5 else verify_population(max_n)
+    assert class_sweep == labeled_sweep(max_n)
+
+
+def _spy_on_distance_matrices(monkeypatch) -> list[tuple[int, int]]:
+    """(n, pair mask) of every distance matrix built from now on."""
+    built = []
     real = bounds_mod.distance_matrix
 
     def counting(g):
-        seen.append((g.n, g.adj))
+        built.append((g.n, g.pair_mask()))
         return real(g)
 
     monkeypatch.setattr(bounds_mod, "distance_matrix", counting)
+    return built
+
+
+def test_each_distance_spectrum_is_solved_once(monkeypatch):
+    # every distance matrix the sweep builds is eigensolved, so counting the
+    # matrices counts the spectra.  Each class is solved once, and only the
+    # expanded classes are solved again on their other labelings: 175
+    # matrices for the 771 labeled graphs (the labeled sweep built 771)
+    built = _spy_on_distance_matrices(monkeypatch)
     summary = verify_population(5)
-    assert len(seen) == summary.graphs_checked == 771
-    assert len(set(seen)) == len(seen)
+    assert summary.graphs_checked == 771
+    assert len(built) == 175
+    assert len(set(built)) == len(built)
+    classes = connected_classes(5)
+    assert {(n, canonical_form(n, m)[0]) for n, m in built} == {
+        (n, m) for n in range(2, 6) for m, _ in classes[n]
+    }
 
 
 def test_failed_complement_solve_fails_both_graphs_of_the_pair(monkeypatch):
-    # the path 0-1-2-3 (mask 37) is the complement of the path 2-0-3-1
-    # (mask 26), which owns the pair; without the partner's spectrum the
-    # owner cannot check its pair row, so both record the failed solve
-    path_distances = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
+    # the bull (a triangle with two pendant vertices) is self-complementary,
+    # records nothing and is not the T3 argmax, so the sweep solves only its
+    # representative pair: the canonical labeling and its complement, one
+    # of which owns the pair.  A failed solve of the partner leaves the
+    # owner without the pair row, so both record the failed solve, and the
+    # failure makes the sweep expand the class into all 60 labelings
+    bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
+    rep, _ = canonical_form(5, bull.pair_mask())
+    owner, partner = sorted((rep, FULL5 ^ rep))
+    bull_labelings = set(labelings(5, rep))
+
+    built = _spy_on_distance_matrices(monkeypatch)
+    assert verify_population(5).passed
+    assert {m for n, m in built if n == 5} & bull_labelings == {owner, partner}
+
+    partner_rows = [list(row) for row in distance_matrix(Graph.from_pair_mask(5, partner)).rows]
     real = spectra_mod._tridiagonalize
 
     def failing(a, n):
-        if a == path_distances:
+        if a == partner_rows:
             raise EigenConvergenceError("forced")
         return real(a, n)
 
     monkeypatch.setattr(spectra_mod, "_tridiagonalize", failing)
-    summary = verify_population(4)
+    built.clear()
+    summary = verify_population(5)
     failed = {gid for gid, cid, _ in summary.violations if cid == "EIG_convergence"}
-    assert failed == {to_graph6(Graph.from_pair_mask(4, m)) for m in (26, 37)}
+    assert failed == {to_graph6(Graph.from_pair_mask(5, m)) for m in (owner, partner)}
     assert not summary.passed
+    assert {m for n, m in built if n == 5} >= bull_labelings
+    assert summary == labeled_sweep(5)
 
 
 def test_passed_property_reflects_violations():
