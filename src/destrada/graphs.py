@@ -254,23 +254,25 @@ def complement(g: Graph) -> Graph:
     return Graph(n=g.n, adj=adj, m=g.n * (g.n - 1) // 2 - g.m)
 
 
-def _reaches_all(adj: Sequence[int], n: int) -> bool:
-    """Frontier BFS from vertex 0 over neighbor bitmasks."""
-    seen = 1
-    frontier = 1
+def _reaches_all(adj: Sequence[int], keep: int) -> bool:
+    """Frontier BFS over neighbor bitmasks: whether the vertex set keep is connected.
+
+    The search starts at keep's lowest vertex and never leaves keep.
+    """
+    seen = frontier = keep & -keep
     while frontier:
         nxt = 0
         while frontier:
             v = (frontier & -frontier).bit_length() - 1
             nxt |= adj[v]
             frontier &= frontier - 1
-        frontier = nxt & ~seen
+        frontier = nxt & keep & ~seen
         seen |= frontier
-    return seen == (1 << n) - 1
+    return seen == keep
 
 
 def is_connected(g: Graph) -> bool:
-    return _reaches_all(g.adj, g.n)
+    return _reaches_all(g.adj, (1 << g.n) - 1)
 
 
 # --- exhaustive enumeration --------------------------------------------------
@@ -313,7 +315,7 @@ def connected_pair_masks(n: int) -> Iterator[int]:
     for mask in range(1 << npairs):
         if mask.bit_count() < need:
             continue
-        if _reaches_all(_mask_adjacency(n, mask), n):
+        if _reaches_all(_mask_adjacency(n, mask), (1 << n) - 1):
             yield mask
 
 
@@ -423,26 +425,45 @@ def canonical_form(n: int, mask: int) -> tuple[int, int]:
     return _canonical(_mask_adjacency(n, mask))
 
 
+def _is_parent_vertex(adj: Sequence[int], v: int) -> bool:
+    """Whether v has the least degree among the vertices whose removal keeps adj connected.
+
+    v itself must be such a non-cut vertex.  Only the vertices of smaller
+    degree are tested for it.
+    """
+    d = adj[v].bit_count()
+    full = (1 << len(adj)) - 1
+    return not any(
+        a.bit_count() < d and _reaches_all(adj, full ^ 1 << u) for u, a in enumerate(adj)
+    )
+
+
 def connected_classes(max_n: int) -> dict[int, list[tuple[int, int]]]:
     """Connected isomorphism classes of each order 1..max_n: ascending (canonical mask, |Aut|).
 
-    Order n grows from order n - 1 by joining a new vertex to each nonempty
-    subset of a representative's vertices.  That reaches every class,
-    because a connected graph stays connected without some vertex (a leaf
-    of a spanning tree); canonical forms merge the duplicates (isomorph-free
-    generation after Read 1978 and McKay 1998).  A class has n!/|Aut|
-    labelings.
+    Order n grows from order n - 1 by joining a new vertex v to each
+    nonempty subset of a representative's vertices.  A candidate is kept
+    only when v has the least degree among its non-cut vertices (the
+    parent rule); canonical forms merge the remaining duplicates
+    (isomorph-free generation after Read 1978 and McKay 1998).  No class
+    is lost: every connected graph has non-cut vertices, and deleting one
+    of least degree leaves a connected graph of order n - 1, whose
+    representative regrows it.  A class has n!/|Aut| labelings.
     """
     if not 1 <= max_n <= MAX_ENUM_N:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
     table = {1: [(0, 1)]}
     for n in range(2, max_n + 1):
-        base = (n - 1) * (n - 2) // 2  # the new vertex's pairs start here
+        v = n - 1  # the new vertex
         found: dict[int, int] = {}
         for mask, _ in table[n - 1]:
-            for nbrs in range(1, 1 << (n - 1)):
-                canon, aut = canonical_form(n, mask | nbrs << base)
-                found[canon] = aut
+            parent = _mask_adjacency(v, mask)
+            for nbrs in range(1, 1 << v):
+                adj = [a | (nbrs >> u & 1) << v for u, a in enumerate(parent)]
+                adj.append(nbrs)
+                if _is_parent_vertex(adj, v):
+                    canon, aut = _canonical(adj)
+                    found[canon] = aut
         table[n] = sorted(found.items())
     return table
 

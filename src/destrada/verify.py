@@ -5,11 +5,15 @@ complement, so it gives the same verdict on every labeling of one
 isomorphism class.  The sweep therefore evaluates each connected class
 once, together with its complement class when that is connected, and
 counts the class's n!/|Aut| labelings.  The summary still names labeled
-graphs and prints slacks whose last digits vary between labelings, so a
-class pair is expanded into all of its labelings, each given the
-labeled battery, when its representative records anything, when its T3
-slack is within T3_TIE_REL of the best at its order, or when a verdict
-margin sits within NOISE_BAND of its threshold.
+graphs and prints slacks whose last digits vary between labelings, so:
+
+- a class pair whose representatives record anything, or have a verdict
+  margin within NOISE_BAND of its threshold, is expanded into all of its
+  labelings, each given the labeled battery;
+- otherwise, a class whose representative's T3 slack is within
+  T3_TIE_REL of the best at its order is expanded alone, its complement
+  class not, and each labeling gets only the T3 slack the argmax ranks
+  by and the checks on its own solve (EIG_convergence, L1_identity).
 
 Each labeled distance spectrum is solved once: when a graph and its
 complement are both connected, the smaller of their two masks owns the
@@ -28,9 +32,11 @@ from dataclasses import dataclass
 from .bounds import (
     ASSERTED,
     CATALOG,
+    CATALOG_IDS,
     IDENTITY_REL_TOL,
     SIGNATURE_ABS_TOL,
     STRICT_SLACK,
+    T3_LOWER,
     BoundReport,
     GraphEvaluation,
     SpectralMismatchError,
@@ -70,6 +76,7 @@ NOISE_BAND = 1e-10
 # T3 slacks within this relative distance of the best at an order may rank
 # differently on another labeling, so their classes join the argmax
 T3_TIE_REL = 1e-9
+_T3_ROW = CATALOG[CATALOG_IDS.index(T3_LOWER)]
 # worker processes; a larger --threads or DEE_THREADS is rejected before any fork
 MAX_THREADS = 64
 
@@ -92,7 +99,7 @@ class VerificationSummary:
         return not self.violations
 
 
-def _evaluate(g: Graph, comp: Graph) -> GraphEvaluation | None:
+def _evaluate(g: Graph, comp: Graph | None = None) -> GraphEvaluation | None:
     """g's evaluation, or None when the eigensolver gives up on it."""
     try:
         return evaluate(g, comp)
@@ -121,6 +128,37 @@ def _row_near_threshold(r: BoundReport) -> bool:
     )
 
 
+def _trace_residuals(ev: GraphEvaluation) -> tuple[list[tuple[str, float]], bool]:
+    """The L1_identity failure, if any, and whether a residual sits in the noise band.
+
+    The trace and second-moment identities of the distance spectrum.
+    """
+    moment = 2 * sum_sq_distances(ev.dm)
+    res_sum, res_sq = lemma1_check(ev.spectrum, moment)
+    bad = []
+    if res_sum > 1e-9 or res_sq > 1e-9 * moment:
+        bad.append((L1_IDENTITY, max(res_sum, res_sq)))
+    return bad, _near(res_sum, 1e-9, 1.0) or _near(res_sq, 1e-9 * moment, moment)
+
+
+def _result(g: Graph, mask: int, bad, found, hit_ids, t3_slack: float, near: bool):
+    """One graph's battery result; entries are prefixed (n, mask, graph6 id, ...).
+
+    The prefix lets a sharded merge restore enumeration order.  The graph6
+    id is only rendered when something gets recorded.
+    """
+    if not (bad or found or hit_ids):
+        return (), (), (), t3_slack, near
+    n, gid = g.n, to_graph6(g)
+    return (
+        tuple((n, mask, gid, cid, s) for cid, s in bad),
+        tuple((n, mask, gid, cid, s) for cid, s in found),
+        tuple((n, mask, gid, cid) for cid in hit_ids),
+        t3_slack,
+        near,
+    )
+
+
 def _check_graph(
     g: Graph,
     mask: int,
@@ -134,10 +172,7 @@ def _check_graph(
     {graph, complement} pair checks the pair row with comp_ev, the
     complement's evaluation; its partner passes own_t4=False.  An owner
     whose complement could not be solved records EIG_convergence too.
-    Entry tuples are prefixed (n, mask, ...) so a sharded merge can restore
-    enumeration order.  near is set when a verdict margin sits within the
-    noise band.  The graph6 id is only rendered when something gets
-    recorded.
+    near is set when a verdict margin sits within the noise band.
     """
     n = g.n
     bad: list[tuple[str, float]] = []
@@ -172,12 +207,9 @@ def _check_graph(
         failed, t3_slack = cross_checks(ev, reports)
         bad.extend(failed)
 
-        # trace and second-moment identities of the distance spectrum
-        moment = 2 * sum_sq_distances(ev.dm)
-        res_sum, res_sq = lemma1_check(ev.spectrum, moment)
-        if res_sum > 1e-9 or res_sq > 1e-9 * moment:
-            bad.append((L1_IDENTITY, max(res_sum, res_sq)))
-        near = near or _near(res_sum, 1e-9, 1.0) or _near(res_sq, 1e-9 * moment, moment)
+        trace_bad, trace_near = _trace_residuals(ev)
+        bad.extend(trace_bad)
+        near = near or trace_near
 
         # regular diameter-<=2 graphs: distance spectrum via the adjacency transform
         if ev.r is not None and ev.rho <= 2:
@@ -188,16 +220,7 @@ def _check_graph(
                 bad.append((L2_TRANSFORM, diff))
             near = near or _near(diff, SIGNATURE_ABS_TOL, ev.spectrum.values[0])
 
-    if not (bad or found or hit_ids):
-        return (), (), (), t3_slack, near
-    gid = to_graph6(g)
-    return (
-        tuple((n, mask, gid, cid, s) for cid, s in bad),
-        tuple((n, mask, gid, cid, s) for cid, s in found),
-        tuple((n, mask, gid, cid) for cid in hit_ids),
-        t3_slack,
-        near,
-    )
+    return _result(g, mask, bad, found, hit_ids, t3_slack, near)
 
 
 def _check_pair(n: int, mask: int):
@@ -222,24 +245,40 @@ def _check_pair(n: int, mask: int):
     ]
 
 
-def _run_shard(args: tuple[int, list[int]]):
-    """_check_pair on each mask of one (n, masks) shard; picklable for Pool."""
-    n, masks = args
-    return [_check_pair(n, mask) for mask in masks]
+def _check_t3(n: int, mask: int):
+    """The T3 slack and the spectral health of one labeling of a T3-tied class.
+
+    Catalog verdicts do not depend on the labeling, so only the slack the
+    argmax ranks by is computed, and only the solve itself is checked:
+    EIG_convergence when it fails, else the L1_identity residuals.  Returns
+    [(mask, result)] in the shape of _check_pair.
+    """
+    g = Graph.from_pair_mask(n, mask)
+    ev = _evaluate(g)
+    if ev is None:
+        return [(mask, _result(g, mask, [(EIG_FAILURE, math.nan)], (), (), math.nan, False))]
+    bad, near = _trace_residuals(ev)
+    return [(mask, _result(g, mask, bad, (), (), _T3_ROW.report(ev, False, None).slack, near))]
 
 
-def _run_shards(pool, threads: int, jobs: dict[int, list[int]]) -> dict[tuple[int, int], list]:
-    """_check_pair on every mask of jobs ({n: masks}), keyed by (n, mask).
+def _run_shard(args):
+    """One (check, n, masks) shard: check(n, mask) on each mask; picklable for Pool."""
+    check, n, masks = args
+    return [check(n, mask) for mask in masks]
 
-    Each order's masks are dealt round-robin to `threads` shards, which run
+
+def _run_shards(pool, threads: int, jobs) -> dict[tuple[int, int], list]:
+    """check(n, mask) for every mask of each (check, n, masks) job, keyed by (n, mask).
+
+    Each job's masks are dealt round-robin to `threads` shards, which run
     in the pool, or here when pool is None.
     """
-    shards = [(n, masks[k::threads]) for n, masks in jobs.items() for k in range(threads)]
+    shards = [(check, n, masks[k::threads]) for check, n, masks in jobs for k in range(threads)]
     if pool is None:
         outs = [_run_shard(s) for s in shards]
     else:
         outs = pool.map(_run_shard, shards, chunksize=1)
-    return {(n, m): res for (n, sub), out in zip(shards, outs) for m, res in zip(sub, out)}
+    return {(n, m): res for (_, n, sub), out in zip(shards, outs) for m, res in zip(sub, out)}
 
 
 def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, bool]]:
@@ -261,18 +300,41 @@ def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, bool
     return pairs
 
 
-def _expands(pair, best: float) -> bool:
-    """Whether a representative pair's results call for every labeling."""
-    floor = best - T3_TIE_REL * max(1.0, abs(best))
-    return any(v or f or h or near or t3 >= floor for _, (v, f, h, t3, near) in pair)
-
-
 def _owners(n: int, rep: int, comp_connected: bool) -> set[int]:
     """The owner masks of every labeled pair in a class pair."""
     if not comp_connected:
         return set(labelings(n, rep))
     full = (1 << (n * (n - 1) // 2)) - 1
     return {min(x, full ^ x) for x in labelings(n, rep)}
+
+
+def _expansion(n: int, pairs, reps) -> tuple[list, list[int], list[int]]:
+    """What the summary of order n needs beyond one evaluation per class pair.
+
+    Returns the representative results it prints, as (mask, result), the
+    owner masks that get the labeled battery, and the masks that get only
+    _check_t3.  A pair that records anything, or has a margin in the noise
+    band, is expanded whole.  Otherwise each class whose representative's
+    T3 slack is within T3_TIE_REL of the best is expanded on its own.
+    """
+    best = max(
+        (r[3] for rep, _ in pairs for _, r in reps[n, rep] if r[3] == r[3]),
+        default=math.nan,
+    )
+    floor = best - T3_TIE_REL * max(1.0, abs(best))
+    printed, battery, tied = [], set(), set()
+    for rep, comp_connected in pairs:
+        pair = reps[n, rep]
+        solved = {mask for mask, _ in pair}
+        tied_reps = [mask for mask, r in pair if r[3] >= floor]
+        if any(v or f or h or near for _, (v, f, h, _, near) in pair):
+            battery |= _owners(n, rep, comp_connected) - solved
+        elif tied_reps:
+            tied |= {x for mask in tied_reps for x in labelings(n, mask)} - solved
+        else:
+            continue
+        printed.extend(pair)
+    return printed, sorted(battery), sorted(tied)
 
 
 def _summarize(max_n: int, counts: dict[int, int], checked) -> VerificationSummary:
@@ -338,23 +400,17 @@ def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
     else:
         pool_cm = contextlib.nullcontext()  # None: shards run in this process
     with pool_cm as pool:
-        # one evaluation per class, then every labeling of the pairs that need it
-        reps = _run_shards(pool, threads, {n: [rep for rep, _ in pairs[n]] for n in orders})
+        # one evaluation per class pair, then the labelings the summary prints
+        reps = _run_shards(
+            pool, threads, [(_check_pair, n, [rep for rep, _ in pairs[n]]) for n in orders]
+        )
         checked = []
-        expand: dict[int, list[int]] = {}
+        jobs = []
         for n in orders:
-            best = max(
-                (r[3] for rep, _ in pairs[n] for _, r in reps[n, rep] if r[3] == r[3]),
-                default=math.nan,
-            )
-            owners: set[int] = set()
-            for rep, comp_connected in pairs[n]:
-                pair = reps[n, rep]
-                if _expands(pair, best):
-                    checked.extend((n, mask, r) for mask, r in pair)
-                    owners |= _owners(n, rep, comp_connected) - {pair[0][0]}
-            expand[n] = sorted(owners)
-        for (n, _), pair in _run_shards(pool, threads, expand).items():
-            checked.extend((n, mask, r) for mask, r in pair)
+            printed, battery, tied = _expansion(n, pairs[n], reps)
+            checked.extend((n, mask, r) for mask, r in printed)
+            jobs += [(_check_pair, n, battery), (_check_t3, n, tied)]
+        for (n, _), results in _run_shards(pool, threads, jobs).items():
+            checked.extend((n, mask, r) for mask, r in results)
 
     return _summarize(max_n, counts, checked)

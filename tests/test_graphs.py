@@ -10,8 +10,9 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import destrada.graphs as graphs_mod
 from destrada.bounds import evaluate
 from destrada.graphs import (
     MAX_ENUM_N,
@@ -374,6 +375,42 @@ def test_labeling_counts_follow_a001187_to_eight_vertices():
     assert sums == [connected_count_recurrence(n) for n in range(1, 9)]
     assert sums[-1] == 251548592
     assert len(table[8]) == 11117
+
+
+def test_parent_rule_prunes_canonicalizations(monkeypatch):
+    # without the rule all 7,815 one-vertex extensions of the classes of
+    # orders 1..6 were canonicalized; the atlas and A001187 tests above stay
+    # the oracles that no class is lost
+    calls = []
+    real = graphs_mod._canonical
+
+    def counting(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(graphs_mod, "_canonical", counting)
+    table = connected_classes(7)
+    assert [len(table[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    assert [calls.count(n) for n in range(2, 8)] == [1, 3, 11, 53, 296, 2432]
+    assert len(calls) == 2796
+
+
+@given(graphs(min_n=2, max_n=8))
+def test_every_connected_graph_has_a_parent_vertex(g):
+    # connected_classes keeps a candidate only when its new vertex has the
+    # least degree among the non-cut vertices; networkx finds the cut
+    # vertices here.  Such a vertex exists, its deletion leaves a connected
+    # graph, and the rule accepts exactly the non-cut vertices of that degree
+    assume(is_connected(g))
+    h = to_nx(g)
+    non_cut = sorted(set(h) - set(nx.articulation_points(h)))
+    assert non_cut
+    least = min(h.degree(v) for v in non_cut)
+    for v in non_cut:
+        assert graphs_mod._is_parent_vertex(g.adj, v) == (h.degree(v) == least)
+        rest = h.copy()
+        rest.remove_node(v)
+        assert nx.is_connected(rest)
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))

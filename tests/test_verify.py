@@ -1,13 +1,23 @@
 """Exhaustive-sweep harness: the class sweep against the labeled one, shard
 merging, dedup, and summary contents."""
 
+import math
+
+import numpy as np
 import pytest
 
 import destrada.bounds as bounds_mod
 import destrada.spectra as spectra_mod
-from destrada.graphs import Graph, canonical_form, connected_classes, labelings, to_graph6
-from destrada.metric import distance_matrix
-from destrada.spectra import EigenConvergenceError
+from destrada.graphs import (
+    Graph,
+    canonical_form,
+    connected_classes,
+    labelings,
+    parse_graph6,
+    to_graph6,
+)
+from destrada.metric import distance_matrix, sum_sq_distances
+from destrada.spectra import EigenConvergenceError, lemma1_check
 from destrada.verify import (
     MAX_THREADS,
     VerificationSummary,
@@ -106,18 +116,26 @@ def _spy_on_distance_matrices(monkeypatch) -> list[tuple[int, int]]:
 
 def test_each_distance_spectrum_is_solved_once(monkeypatch):
     # every distance matrix the sweep builds is eigensolved, so counting the
-    # matrices counts the spectra.  Each class is solved once, and only the
-    # expanded classes are solved again on their other labelings: 175
+    # matrices counts the spectra.  Each class is solved once; the pairs that
+    # record something are solved again on their other labelings, and so
+    # are the T3 argmax classes, but never their complement classes: 116
     # matrices for the 771 labeled graphs (the labeled sweep built 771)
     built = _spy_on_distance_matrices(monkeypatch)
     summary = verify_population(5)
     assert summary.graphs_checked == 771
-    assert len(built) == 175
+    assert len(built) == 116
     assert len(set(built)) == len(built)
     classes = connected_classes(5)
     assert {(n, canonical_form(n, m)[0]) for n, m in built} == {
         (n, m) for n in range(2, 6) for m, _ in classes[n]
     }
+    # the argmax DPo's class records nothing; of its complement class only
+    # the complement of the class representative is solved
+    assert summary.t3_argmax[-1][:2] == (5, "DPo")
+    rep, _ = canonical_form(5, parse_graph6("DPo").pair_mask())
+    solved5 = {m for n, m in built if n == 5}
+    assert solved5 >= set(labelings(5, rep))
+    assert solved5 & set(labelings(5, FULL5 ^ rep)) == {FULL5 ^ rep}
 
 
 def test_failed_complement_solve_fails_both_graphs_of_the_pair(monkeypatch):
@@ -152,6 +170,65 @@ def test_failed_complement_solve_fails_both_graphs_of_the_pair(monkeypatch):
     assert not summary.passed
     assert {m for n, m in built if n == 5} >= bull_labelings
     assert summary == labeled_sweep(5)
+
+
+def test_failed_solve_of_a_tie_labeling_fails_that_labeling_alone(monkeypatch, pop5):
+    # DPo's class is expanded only for the T3 argmax, so each of its
+    # labelings but the representative gets its own solve and nothing else
+    rep, _ = canonical_form(5, parse_graph6("DPo").pair_mask())
+    victim = next(
+        m for m in labelings(5, rep)
+        if m != rep and to_graph6(Graph.from_pair_mask(5, m)) != "DPo"
+    )
+    victim_rows = [list(row) for row in distance_matrix(Graph.from_pair_mask(5, victim)).rows]
+    real = spectra_mod._tridiagonalize
+
+    def failing(a, n):
+        if a == victim_rows:
+            raise EigenConvergenceError("forced")
+        return real(a, n)
+
+    monkeypatch.setattr(spectra_mod, "_tridiagonalize", failing)
+    summary = verify_population(5)
+    failed = [(gid, cid) for gid, cid, _ in summary.violations if cid == "EIG_convergence"]
+    assert failed == [(to_graph6(Graph.from_pair_mask(5, victim)), "EIG_convergence")]
+    assert not summary.passed
+    assert [v for v in summary.violations if v[1] != "EIG_convergence"] == list(pop5.violations)
+    assert summary.findings == pop5.findings
+    assert summary.equality_hits == pop5.equality_hits
+    assert summary.t3_argmax == pop5.t3_argmax
+
+
+def test_tie_class_spectra_pass_the_trace_identities(monkeypatch):
+    # the labelings of the n = 6 argmax class skip the battery, so the
+    # spectra they are ranked by are checked here: each labeling is solved
+    # once, keeps the trace identities and matches LAPACK
+    solved = []
+    real = bounds_mod.distance_spectrum
+
+    def spying(dm):
+        s = real(dm)
+        solved.append((dm, s))
+        return s
+
+    monkeypatch.setattr(bounds_mod, "distance_spectrum", spying)
+    summary = verify_population(6)
+    assert summary.t3_argmax[-1][:2] == (6, "ERAG")
+    rep, aut = canonical_form(6, parse_graph6("ERAG").pair_mask())
+    tie = []
+    for dm, s in solved:
+        if dm.n == 6:
+            adj = Graph.from_edges(6, [(i, j) for j in range(6) for i in range(j)
+                                       if dm.rows[i][j] == 1])
+            if canonical_form(6, adj.pair_mask())[0] == rep:
+                tie.append((adj.pair_mask(), dm, s))
+    assert len(tie) == len({m for m, _, _ in tie}) == math.factorial(6) // aut
+    for _, dm, s in tie:
+        moment = 2 * sum_sq_distances(dm)
+        res_sum, res_sq = lemma1_check(s, moment)
+        assert res_sum <= 1e-9 and res_sq <= 1e-9 * moment
+        lapack = np.linalg.eigvalsh(np.array(dm.rows, dtype=float))[::-1]
+        assert np.allclose(s.values, lapack, rtol=0, atol=1e-9)
 
 
 def test_passed_property_reflects_violations():
