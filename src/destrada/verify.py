@@ -3,21 +3,26 @@
 Every check reads only a graph's distance spectrum, degrees and
 complement, so it gives the same verdict on every labeling of one
 isomorphism class.  The sweep therefore evaluates each connected class
-once, together with its complement class when that is connected, and
-counts the class's n!/|Aut| labelings.  The summary still names labeled
-graphs and prints slacks whose last digits vary between labelings, so:
+once, with the full battery, together with its complement class when
+that is connected, and counts the class's n!/|Aut| labelings.  The
+summary still names labeled graphs and prints slacks whose last digits
+vary between labelings, so:
 
-- a class pair whose representatives record anything, or have a verdict
-  margin within NOISE_BAND of its threshold, is expanded into all of its
-  labelings, each given the labeled battery;
-- otherwise, a class whose representative's T3 slack is within
-  T3_TIE_REL of the best at its order is expanded alone, its complement
-  class not, and each labeling gets only the T3 slack the argmax ranks
-  by and the checks on its own solve (EIG_convergence, L1_identity).
+- a class pair whose representatives record a check-level failure (a
+  violation outside the catalog rows), or have a verdict margin within
+  NOISE_BAND of a threshold that verdict uses, is expanded into all of
+  its labelings, each given the labeled battery;
+- otherwise, a class pair that records anything, or holds a class whose
+  representative's T3 slack is within T3_TIE_REL of the best at its
+  order, gets the lean check on each labeled pair: a labeling is solved
+  only when its class prints a slack, ranks near the T3 argmax, or its
+  pair records T4_ng_lower, and then gets those rows, its T3 slack and
+  the checks on its own solve (EIG_convergence, L1_identity).  Equality
+  hits are copied from the representative.
 
 Each labeled distance spectrum is solved once: when a graph and its
 complement are both connected, the smaller of their two masks owns the
-pair and checks both graphs.  Work can be sharded across processes; the
+pair and checks the pair row.  Work can be sharded across processes; the
 merge re-sorts by (n, mask) so the summary is identical for any shard
 count.
 """
@@ -28,16 +33,21 @@ import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import (
     ASSERTED,
     CATALOG,
     CATALOG_IDS,
     IDENTITY_REL_TOL,
+    L3_LAMBDA1_LOWER,
+    L4_CLASS,
     SIGNATURE_ABS_TOL,
     STRICT_SLACK,
     T3_LOWER,
+    T4_NG_LOWER,
     BoundReport,
+    DistSpectrumClass,
     GraphEvaluation,
     SpectralMismatchError,
     cross_checks,
@@ -77,6 +87,7 @@ NOISE_BAND = 1e-10
 # differently on another labeling, so their classes join the argmax
 T3_TIE_REL = 1e-9
 _T3_ROW = CATALOG[CATALOG_IDS.index(T3_LOWER)]
+_T4 = CATALOG_IDS.index(T4_NG_LOWER)
 # worker processes; a larger --threads or DEE_THREADS is rejected before any fork
 MAX_THREADS = 64
 
@@ -112,19 +123,25 @@ def _near(value: float, threshold: float, scale: float) -> bool:
 
 
 def _row_near_threshold(r: BoundReport) -> bool:
-    """True when r's slack is within the noise band of a threshold a verdict uses.
+    """True when r's slack is within the noise band of a threshold its verdict uses.
 
-    The thresholds are the holds and equality tolerance, the signature
-    tolerance of the L3 cross-check and of L4, and for strict rows zero and
-    STRICT_SLACK; checking all of them on every row errs toward expanding.
+    Every row's holds and equality flags use IDENTITY_REL_TOL * max(1,
+    |observed|); a strict row's verdict also uses zero and STRICT_SLACK,
+    and L3's iff cross-check the signature tolerance.  L4_class uses only
+    its classifier's thresholds: the signature tolerance, and zero in the
+    Below2383 class.
     """
     scale = max(1.0, abs(r.observed))
     band = NOISE_BAND * scale
     s = abs(r.slack)
+    if r.theorem_id == L4_CLASS:
+        return abs(s - SIGNATURE_ABS_TOL) <= band or (
+            r.note == DistSpectrumClass.BELOW_2383.value and s <= band
+        )
     return (
         abs(s - IDENTITY_REL_TOL * scale) <= band
-        or abs(s - SIGNATURE_ABS_TOL) <= band
         or r.strict_required and (s <= band or abs(s - STRICT_SLACK) <= band)
+        or r.theorem_id == L3_LAMBDA1_LOWER and abs(s - SIGNATURE_ABS_TOL) <= band
     )
 
 
@@ -157,6 +174,11 @@ def _result(g: Graph, mask: int, bad, found, hit_ids, t3_slack: float, near: boo
         t3_slack,
         near,
     )
+
+
+def _fails(r: BoundReport) -> bool:
+    """The one verdict rule of an applicable row: it holds, strictly if required."""
+    return not (r.holds and (not r.strict_required or r.slack > STRICT_SLACK))
 
 
 def _check_graph(
@@ -199,9 +221,7 @@ def _check_graph(
             near = near or _row_near_threshold(r)
             if equality_tracked and r.equality:
                 hit_ids.append(r.theorem_id)
-            if verdict is not None and not (
-                r.holds and (not r.strict_required or r.slack > STRICT_SLACK)
-            ):
+            if verdict is not None and _fails(r):
                 (bad if verdict == ASSERTED else found).append((r.theorem_id, r.slack))
 
         failed, t3_slack = cross_checks(ev, reports)
@@ -245,47 +265,90 @@ def _check_pair(n: int, mask: int):
     ]
 
 
-def _check_t3(n: int, mask: int):
-    """The T3 slack and the spectral health of one labeling of a T3-tied class.
+class _Side(NamedTuple):
+    """What the lean check gives each labeling of one class of a class pair.
 
-    Catalog verdicts do not depend on the labeling, so only the slack the
-    argmax ranks by is computed, and only the solve itself is checked:
-    EIG_convergence when it fails, else the L1_identity residuals.  Returns
-    [(mask, result)] in the shape of _check_pair.
+    rows are the CATALOG indices whose failed verdict the representative
+    prints with a slack, hits the equality-hit ids it records; T4_ng_lower
+    entries count only on the owner of a labeled pair.  solve says whether
+    the labeling's distance spectrum is solved at all.
+    """
+
+    rows: tuple[int, ...]
+    hits: tuple[str, ...]
+    solve: bool
+
+
+def _check_lean(n: int, mask: int, side: _Side, comp_side: _Side | None):
+    """The lean check on one labeled pair of a class pair whose verdicts are settled.
+
+    mask is a labeling of one class, checked as side says; its complement,
+    when connected, is checked as comp_side says.  A solved graph gets its
+    side's rows, its T3 slack and the L1_identity residuals; a failed solve
+    records EIG_convergence instead, on the graph and on its pair's owner.
+    Returns (mask, result) per graph, owner first, as _check_pair does.
     """
     g = Graph.from_pair_mask(n, mask)
-    ev = _evaluate(g)
-    if ev is None:
-        return [(mask, _result(g, mask, [(EIG_FAILURE, math.nan)], (), (), math.nan, False))]
-    bad, near = _trace_residuals(ev)
-    return [(mask, _result(g, mask, bad, (), (), _T3_ROW.report(ev, False, None).slack, near))]
+    comp = complement(g)
+    graphs = [(g, comp, mask, side)]
+    if comp_side is not None:
+        comp_mask = ((1 << (n * (n - 1) // 2)) - 1) ^ mask
+        graphs.append((comp, g, comp_mask, comp_side))
+        graphs.sort(key=lambda x: x[2])  # the smaller mask owns the pair
+    evs = [_evaluate(h, h_comp) if sd.solve else None for h, h_comp, _, sd in graphs]
+    failed = [sd.solve and ev is None for (*_, sd), ev in zip(graphs, evs)]
+    partner_ev = evs[1] if len(evs) == 2 else None
+    out = []
+    for k, ((h, _, h_mask, sd), ev) in enumerate(zip(graphs, evs)):
+        owner = k == 0
+        if failed[k] or owner and any(failed):
+            eig_failure = [(EIG_FAILURE, math.nan)]
+            out.append((h_mask, _result(h, h_mask, eig_failure, (), (), math.nan, False)))
+            continue
+        bad, found, t3_slack = [], [], math.nan
+        if ev is not None:
+            for i in sd.rows:
+                r = CATALOG[i].report(ev, owner, partner_ev)
+                if r.applicable and _fails(r):
+                    verdict = CATALOG[i].verdict
+                    (bad if verdict == ASSERTED else found).append((r.theorem_id, r.slack))
+            t3_slack = _T3_ROW.report(ev, False, None).slack
+            bad.extend(_trace_residuals(ev)[0])
+        hits = [cid for cid in sd.hits if owner or cid != T4_NG_LOWER]
+        out.append((h_mask, _result(h, h_mask, bad, found, hits, t3_slack, False)))
+    return out
 
 
 def _run_shard(args):
-    """One (check, n, masks) shard: check(n, mask) on each mask; picklable for Pool."""
-    check, n, masks = args
-    return [check(n, mask) for mask in masks]
+    """One (check, n, masks, extra) shard: check(n, mask, *extra) on each mask."""
+    check, n, masks, extra = args
+    return [check(n, mask, *extra) for mask in masks]
 
 
 def _run_shards(pool, threads: int, jobs) -> dict[tuple[int, int], list]:
-    """check(n, mask) for every mask of each (check, n, masks) job, keyed by (n, mask).
+    """check(n, mask, *extra) for every mask of each (check, n, masks, extra) job.
 
-    Each job's masks are dealt round-robin to `threads` shards, which run
-    in the pool, or here when pool is None.
+    Keyed by (n, mask).  Each job's masks are dealt round-robin to at most
+    `threads` shards, which run in the pool, or here when pool is None.
     """
-    shards = [(check, n, masks[k::threads]) for check, n, masks in jobs for k in range(threads)]
+    shards = [
+        (check, n, masks[k::threads], extra)
+        for check, n, masks, extra in jobs
+        for k in range(min(threads, len(masks)))
+    ]
     if pool is None:
         outs = [_run_shard(s) for s in shards]
     else:
         outs = pool.map(_run_shard, shards, chunksize=1)
-    return {(n, m): res for (_, n, sub), out in zip(shards, outs) for m, res in zip(sub, out)}
+    return {(n, m): res for (_, n, sub, _), out in zip(shards, outs) for m, res in zip(sub, out)}
 
 
-def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, bool]]:
-    """(representative, complement connected) for each class and complement-class pair.
+def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, int | None]]:
+    """(representative, complement representative) for each class and complement-class pair.
 
     A pair is represented by its smaller canonical mask; the complement of
-    that labeling is the other class's representative.
+    that labeling is the other class's representative, None when it is
+    disconnected.
     """
     full = (1 << (n * (n - 1) // 2)) - 1
     taken = set()
@@ -293,10 +356,11 @@ def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, bool
     for mask, _ in classes:
         if mask in taken:
             continue
-        comp_connected = is_connected(Graph.from_pair_mask(n, full ^ mask))
-        if comp_connected:
-            taken.add(canonical_form(n, full ^ mask)[0])
-        pairs.append((mask, comp_connected))
+        comp_rep = None
+        if is_connected(Graph.from_pair_mask(n, full ^ mask)):
+            comp_rep = canonical_form(n, full ^ mask)[0]
+            taken.add(comp_rep)
+        pairs.append((mask, comp_rep))
     return pairs
 
 
@@ -308,33 +372,54 @@ def _owners(n: int, rep: int, comp_connected: bool) -> set[int]:
     return {min(x, full ^ x) for x in labelings(n, rep)}
 
 
-def _expansion(n: int, pairs, reps) -> tuple[list, list[int], list[int]]:
-    """What the summary of order n needs beyond one evaluation per class pair.
+def _expansion(n: int, pairs, reps) -> list:
+    """The jobs the summary of order n needs beyond one evaluation per class pair.
 
-    Returns the representative results it prints, as (mask, result), the
-    owner masks that get the labeled battery, and the masks that get only
-    _check_t3.  A pair that records anything, or has a margin in the noise
-    band, is expanded whole.  Otherwise each class whose representative's
-    T3 slack is within T3_TIE_REL of the best is expanded on its own.
+    Each job is (check, n, masks, extra), as _run_shards takes it.  A pair
+    whose representatives record a check-level failure, or have a margin in
+    the noise band, gets the labeled battery on every other owner mask.  A
+    pair that records anything else, or holds a class whose representative's
+    T3 slack is within T3_TIE_REL of the best, gets _check_lean on one
+    labeling of the representative's class per other labeled pair.
     """
     best = max(
         (r[3] for rep, _ in pairs for _, r in reps[n, rep] if r[3] == r[3]),
         default=math.nan,
     )
     floor = best - T3_TIE_REL * max(1.0, abs(best))
-    printed, battery, tied = [], set(), set()
-    for rep, comp_connected in pairs:
-        pair = reps[n, rep]
-        solved = {mask for mask, _ in pair}
-        tied_reps = [mask for mask, r in pair if r[3] >= floor]
-        if any(v or f or h or near for _, (v, f, h, _, near) in pair):
-            battery |= _owners(n, rep, comp_connected) - solved
-        elif tied_reps:
-            tied |= {x for mask in tied_reps for x in labelings(n, mask)} - solved
-        else:
+    full = (1 << (n * (n - 1) // 2)) - 1
+    jobs = []
+    for rep, comp_rep in pairs:
+        results = dict(reps[n, rep])
+        if any(
+            r[4] or any(e[3] not in CATALOG_IDS for e in r[0]) for r in results.values()
+        ):
+            battery = _owners(n, rep, comp_rep is not None) - results.keys()
+            jobs.append((_check_pair, n, sorted(battery), ()))
             continue
-        printed.extend(pair)
-    return printed, sorted(battery), sorted(tied)
+        recorded = {
+            mask: ({CATALOG_IDS.index(e[3]) for e in r[0] + r[1]}, {e[3] for e in r[2]})
+            for mask, r in results.items()
+        }
+        # the pair row is recorded on whichever graph owns a labeled pair
+        t4_rows = {_T4} & set().union(*[rows for rows, _ in recorded.values()])
+        t4_hits = {T4_NG_LOWER} & set().union(*[hits for _, hits in recorded.values()])
+        sides = []
+        for mask in (rep, full ^ rep):
+            if mask not in results:  # the complement is disconnected
+                sides.append(None)
+                continue
+            rows, hits = recorded[mask]
+            rows, hits = rows | t4_rows, hits | t4_hits
+            solve = bool(rows) or results[mask][3] >= floor
+            sides.append(_Side(tuple(sorted(rows)), tuple(sorted(hits)), solve))
+        if not any(sd.solve or sd.hits for sd in sides if sd is not None):
+            continue
+        labs = labelings(n, rep)
+        if comp_rep == rep:  # self-complementary: one labeling per labeled pair
+            labs = [x for x in labs if x < full ^ x]
+        jobs.append((_check_lean, n, sorted(set(labs) - {rep, full ^ rep}), tuple(sides)))
+    return jobs
 
 
 def _summarize(max_n: int, counts: dict[int, int], checked) -> VerificationSummary:
@@ -402,15 +487,12 @@ def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
     with pool_cm as pool:
         # one evaluation per class pair, then the labelings the summary prints
         reps = _run_shards(
-            pool, threads, [(_check_pair, n, [rep for rep, _ in pairs[n]]) for n in orders]
+            pool, threads, [(_check_pair, n, [rep for rep, _ in pairs[n]], ()) for n in orders]
         )
-        checked = []
-        jobs = []
-        for n in orders:
-            printed, battery, tied = _expansion(n, pairs[n], reps)
-            checked.extend((n, mask, r) for mask, r in printed)
-            jobs += [(_check_pair, n, battery), (_check_t3, n, tied)]
-        for (n, _), results in _run_shards(pool, threads, jobs).items():
-            checked.extend((n, mask, r) for mask, r in results)
-
+        jobs = [job for n in orders for job in _expansion(n, pairs[n], reps)]
+        labeled = _run_shards(pool, threads, jobs)
+    checked = [
+        (n, mask, r) for runs in (reps, labeled) for (n, _), results in runs.items()
+        for mask, r in results
+    ]
     return _summarize(max_n, counts, checked)
