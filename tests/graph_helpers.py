@@ -3,14 +3,26 @@
 edges() lists a graph's edges for networkx and other reference code;
 enumerate_regular() generates the labeled regular graphs on up to 8
 vertices that acceptance criteria 03 and 09 sweep; labeled_sweep() is
-the labeled reference for the class sweep of verify_population().
+the labeled reference for the class sweep of verify_population(), and
+assert_same_up_to_rounding() compares the two.
 """
 
+import functools
 import itertools
+import json
 from typing import Iterator
 
-from destrada.graphs import MAX_ENUM_N, Graph, connected_pair_masks, is_connected
-from destrada.verify import VerificationSummary, _check_pair, _summarize
+from destrada.bounds import CATALOG_IDS, T3_LOWER, bound_report
+from destrada.graphs import (
+    MAX_ENUM_N,
+    Graph,
+    canonical_form,
+    connected_pair_masks,
+    is_connected,
+    parse_graph6,
+)
+from destrada.records import summary_to_json
+from destrada.verify import VerificationSummary, _check_pair, _labeled, _summarize
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:
@@ -69,24 +81,79 @@ def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[
         yield g
 
 
+@functools.cache
 def labeled_sweep(max_n: int) -> VerificationSummary:
     """verify_population(max_n) computed one labeled graph at a time.
 
     Walks every connected labeled graph in mask order and gives each
     unordered {graph, complement} pair verify's per-graph battery once,
     at its first mask; the partner's mask is skipped when the walk
-    reaches it.  No isomorphism class is formed, so it is the
-    differential oracle for the class sweep.
+    reaches it.  No isomorphism class is formed: every labeled graph's
+    entries and T3 slack come from its own solve, so it is the
+    differential oracle for the class sweep.  Cached, so each order is
+    swept once per session: call it only on unpatched code.
     """
     counts = {}
-    checked = []
+    entries = ([], [], [])
+    ranked = []
     for n in range(2, max_n + 1):
+        full = (1 << (n * (n - 1) // 2)) - 1
         done = set()
         for mask in connected_pair_masks(n):
             counts[n] = counts.get(n, 0) + 1
             if mask in done:
                 continue
-            for m, result in _check_pair(n, mask):
+            facts = _check_pair(n, mask)
+            for m, side in zip((mask, full ^ mask), facts[0]):
                 done.add(m)
-                checked.append((n, m, result))
-    return _summarize(max_n, counts, checked)
+                ranked.append((n, m, side[3]))
+            for acc, new in zip(entries, _labeled(n, mask, facts)):
+                acc.extend(new)
+    return _summarize(max_n, counts, entries, ranked)
+
+
+# printed slacks of one class may differ between labelings by rounding alone
+SLACK_REL_TOL = 1e-12
+
+
+@functools.cache
+def _observed(gid: str, cid: str) -> float:
+    return bound_report(parse_graph6(gid))[CATALOG_IDS.index(cid)].observed
+
+
+def _class_of(gid: str) -> tuple[int, int]:
+    g = parse_graph6(gid)
+    return g.n, canonical_form(g.n, g.pair_mask())[0]
+
+
+def summary_json(summary: VerificationSummary) -> dict:
+    """summary as `verify --format json` prints it, parsed."""
+    return json.loads(summary_to_json(summary))
+
+
+def assert_same_up_to_rounding(new: dict, reference: dict) -> None:
+    """Two verify summaries, as parsed JSON, agree but for rounding noise.
+
+    Counts, the verdict, and the (graph6 id, check id) lists of violations,
+    findings and equality hits must be equal, in order; each slack must be
+    within SLACK_REL_TOL * max(1, |observed|) of the reference's, where
+    observed is the row's observed value (the slack itself outside the
+    catalog); each order's T3 argmax must be the same isomorphism class.
+    """
+    for key in ("max_n", "graphs_checked", "counts_by_n", "passed", "equality_hits"):
+        assert new[key] == reference[key], key
+
+    def close(a, b, gid, cid):
+        if a is None or b is None:  # nan prints as null
+            return a is b
+        scale = _observed(gid, cid) if cid in CATALOG_IDS else b
+        return abs(a - b) <= SLACK_REL_TOL * max(1.0, abs(scale))
+
+    for key in ("violations", "findings"):
+        assert [e[:2] for e in new[key]] == [e[:2] for e in reference[key]], key
+        for (gid, cid, a), (_, _, b) in zip(new[key], reference[key]):
+            assert close(a, b, gid, cid), (key, gid, cid, a, b)
+    assert [row[0] for row in new["t3_argmax"]] == [row[0] for row in reference["t3_argmax"]]
+    for (n, gid, a), (_, ref_gid, b) in zip(new["t3_argmax"], reference["t3_argmax"]):
+        assert _class_of(gid) == _class_of(ref_gid), n
+        assert close(a, b, gid, T3_LOWER), (n, a, b)

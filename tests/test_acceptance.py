@@ -88,7 +88,8 @@ def test_criterion_02_trace_identities_across_the_population(population7):
         f"single-thread n <= 7 sweep took {elapsed:.1f} s "
         f"({summary.graphs_checked / elapsed:.0f} graphs/s); the bound is 600 s"
     )
-    # the whole summary, byte for byte, as the labeled sweep printed it
+    # the whole summary, byte for byte; test_verify ties it to the labeled
+    # sweep's verify_n7_labeled.json
     golden = Path(__file__).parent / "golden" / "verify_n7.json"
     assert summary_to_json(summary) + "\n" == golden.read_text(encoding="ascii")
 

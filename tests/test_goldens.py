@@ -4,11 +4,13 @@ Regenerate deliberately (never casually) with the commands in each case; a
 diff here means serialization or numerics changed behavior.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from destrada.cli import main
+from graph_helpers import assert_same_up_to_rounding, labeled_sweep, summary_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,16 +46,21 @@ def test_verification_golden_is_thread_invariant(threads, capsys):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_six_vertex_verification_matches_the_labeled_sweep(fmt, threads, capsys):
-    # verify_n6.* were written by the labeled sweep, which checked every
-    # labeled graph on its own; the class sweep must print the same bytes
+    # verify_n6.* pin the class sweep's bytes at every thread count; the
+    # labeled sweep, which solves every labeled graph on its own, prints
+    # the same ids and verdicts, with slacks equal but for rounding
     code = main(["verify", "--max-n", "6", "--format", fmt, "--threads", str(threads)])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / f"verify_n6.{fmt}").read_text(encoding="ascii")
+    if fmt == "json":
+        assert_same_up_to_rounding(json.loads(out), summary_json(labeled_sweep(6)))
 
 
 def test_goldens_are_ascii_with_trailing_newline():
-    for golden in [c[1] for c in CASES] + ["verify_n6.json", "verify_n6.csv", "verify_n7.json"]:
+    for golden in [c[1] for c in CASES] + [
+        "verify_n6.json", "verify_n6.csv", "verify_n7.json", "verify_n7_labeled.json",
+    ]:
         raw = (GOLDEN_DIR / golden).read_bytes()
         raw.decode("ascii")
         assert raw.endswith(b"\n")
