@@ -2,6 +2,7 @@
 merging, dedup, and summary contents."""
 
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,12 +18,14 @@ from destrada.graphs import (
     canonical_form,
     connected_classes,
     labelings,
+    parse_graph6,
     to_graph6,
 )
 from destrada.metric import distance_matrix, sum_sq_distances
 from destrada.spectra import (
     EigenConvergenceError,
     adjacency_matrix,
+    distance_spectrum,
     eig_sym,
     lemma1_check,
     lemma2_spectrum,
@@ -185,24 +188,74 @@ def test_each_distance_spectrum_is_solved_once(spied7):
 def test_every_solved_distance_spectrum_matches_lapack(spied7):
     # the LAPACK oracle on each of the 998 spectra the sweep solves up to
     # n = 7: numpy eigvalsh within 1e-9 and the trace and second-moment
-    # identities; a regular diameter-<=2 graph's spectrum also matches the
-    # transform of its adjacency spectrum
-    transformed = 0
+    # identities
     for dm, s in spied7.spectra:
         lapack = np.linalg.eigvalsh(np.array(dm.rows, dtype=float))[::-1]
         assert np.allclose(s.values, lapack, rtol=0, atol=1e-9)
         moment = 2 * sum_sq_distances(dm)
         res_sum, res_sq = lemma1_check(s, moment)
         assert res_sum <= 1e-9 and res_sq <= 1e-9 * moment
-        g = _graph_of(dm)
-        if _is_regular_diameter_two(g):
-            mapped = lemma2_spectrum(eig_sym(adjacency_matrix(g)), g.n, g.degrees()[0])
-            assert max(abs(a - b) for a, b in zip(mapped.values, s.values)) <= SIGNATURE_ABS_TOL
-            transformed += 1
     assert len(spied7.spectra) == 998
-    # K2..K7, C4, both graphs of the five-cycle pair, K3,3, the prism, the
-    # octahedron and the two 4-regular graphs on seven vertices
-    assert transformed == 14
+
+
+def _spectrum_of_each_class(spied7) -> dict:
+    """The distance spectrum the sweep solved for each class, by (n, canonical mask)."""
+    return {(dm.n, canonical_form(dm.n, _graph_of(dm).pair_mask())[0]): s
+            for dm, s in spied7.spectra}
+
+
+def test_regular_diameter_two_spectra_match_their_adjacency_transform(spied7):
+    # L2_transform runs on the representative pair alone and the summary
+    # prints each labeling's slack from its class, so the transform is
+    # checked here on every labeling of each regular diameter-<=2 class up
+    # to n = 7: solved here, its spectrum matches the transform of its
+    # adjacency spectrum, LAPACK, and the spectrum the sweep solved for its
+    # class
+    by_class = _spectrum_of_each_class(spied7)
+    classes = connected_classes(7)
+    regular = checked = 0
+    for n in range(2, 8):
+        for rep, _ in classes[n]:
+            if not _is_regular_diameter_two(Graph.from_pair_mask(n, rep)):
+                continue
+            regular += 1
+            for mask in labelings(n, rep):
+                h = Graph.from_pair_mask(n, mask)
+                dm = distance_matrix(h)
+                s = distance_spectrum(dm)
+                mapped = lemma2_spectrum(eig_sym(adjacency_matrix(h)), n, h.degrees()[0])
+                assert max(abs(a - b) for a, b in zip(mapped.values, s.values)) <= SIGNATURE_ABS_TOL
+                lapack = np.linalg.eigvalsh(np.array(dm.rows, dtype=float))[::-1]
+                assert np.allclose(s.values, lapack, rtol=0, atol=1e-9)
+                assert np.allclose(s.values, by_class[n, rep].values, rtol=0, atol=1e-9)
+                checked += 1
+    # K2..K7, C4, the five-cycle, K3,3, the prism, the octahedron and the
+    # two 4-regular graphs on seven vertices
+    assert regular == 13
+    assert checked == 1 + 1 + 1 + 3 + 1 + 12 + 1 + 10 + 60 + 15 + 1 + 360 + 105
+
+
+def test_tie_class_spectra_pass_the_trace_identities(spied7):
+    # the n = 6 argmax is named by its class, E@U_ (the labeled sweep
+    # printed its labeling ERAG), and ranked by the one spectrum the sweep
+    # solved for that class.  That spectrum keeps the trace identities,
+    # and each of the class's labelings, solved here, has the same
+    # spectrum, keeps the identities and matches LAPACK
+    assert spied7.summary.t3_argmax[4][:2] == (6, "E@U_")
+    rep, aut = canonical_form(6, parse_graph6("ERAG").pair_mask())
+    assert to_graph6(Graph.from_pair_mask(6, rep)) == "E@U_"
+    class_spectrum = _spectrum_of_each_class(spied7)[6, rep]
+    tie = labelings(6, rep)
+    assert len(set(tie)) == math.factorial(6) // aut
+    for mask in (rep, *tie):
+        dm = distance_matrix(Graph.from_pair_mask(6, mask))
+        s = class_spectrum if mask == rep else distance_spectrum(dm)
+        moment = 2 * sum_sq_distances(dm)
+        res_sum, res_sq = lemma1_check(s, moment)
+        assert res_sum <= 1e-9 and res_sq <= 1e-9 * moment
+        assert np.allclose(s.values, class_spectrum.values, rtol=0, atol=1e-9)
+        lapack = np.linalg.eigvalsh(np.array(dm.rows, dtype=float))[::-1]
+        assert np.allclose(s.values, lapack, rtol=0, atol=1e-9)
 
 
 def _fail_solves_of(monkeypatch, masks: list[int]) -> None:
