@@ -10,7 +10,7 @@ exponents switch the report into log domain instead of overflowing.
 ``CATALOG`` is the one place the catalog is stated: each row gives its id,
 whether a failure is an asserted violation or a descriptive finding,
 whether its equality cases are tracked, and its evaluator.  Reports,
-verification verdicts, the scripts and the README table all follow it.
+verification verdicts and the README table follow it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from .graphs import Graph, complement, is_connected
 from .metric import DistanceMatrix, distance_matrix
-from .numeric import EXP_OVERFLOW, dd_compare, log_sum_exp, safe_exp
+from .numeric import EXP_OVERFLOW, log_sum_exp, safe_exp
 from .spectra import Spectrum, adjacency_matrix, distance_spectrum, eig_sym
 
 # catalog identifiers, fixed report order
@@ -92,38 +92,6 @@ class ExpBound:
             # const contributes below one ulp once exponent - log(const) > ~40
             return self.exponent + math.log1p(self.const * math.exp(-self.exponent))
         return math.log(self.value)
-
-    def _exp_dominates(self) -> bool:
-        """Exponential term at least 1000x the additive constant."""
-        if self.const <= 0.0:
-            return True
-        return self.exponent >= math.log(1000.0 * self.const)
-
-    def le(self, other: "ExpBound", rel_tol: float = IDENTITY_REL_TOL) -> bool:
-        """self <= other up to relative tolerance, honoring log domain.
-
-        When either side lives in log domain and the exponential term
-        dominates its constant by 1000x on both sides, compare exponents
-        (the logs of the dominant terms); otherwise fall back to
-        extended-precision summation of the expanded terms.
-        """
-        if self.log_domain or other.log_domain:
-            if self._exp_dominates() and other._exp_dominates():
-                return self.exponent <= other.exponent + rel_tol * max(
-                    1.0, abs(other.exponent)
-                )
-            return dd_compare(
-                [self.const, safe_exp(self.exponent)],
-                [other.const, safe_exp(other.exponent)],
-            ) <= 0
-        a, b = self.value, other.value
-        if abs(a - b) <= 1e-12 * max(abs(a), abs(b)):
-            # rounding-level tie: settle the summation in double-double
-            return dd_compare(
-                [self.const, math.exp(self.exponent)],
-                [other.const, math.exp(other.exponent)],
-            ) <= 0
-        return a <= b + rel_tol * max(1.0, abs(b))
 
 
 def estrada_index(s: Spectrum) -> EstradaValue:

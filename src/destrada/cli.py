@@ -9,7 +9,6 @@ byte-deterministic for a fixed input, including across --threads settings.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bounds import bound_report
@@ -70,18 +69,6 @@ def _parse_range(s: str) -> tuple[int, int]:
     if lo > hi:
         raise GraphFormatError(f"bad range {s!r}: empty")
     return lo, hi
-
-
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("DEE_THREADS", "")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise GraphFormatError("DEE_THREADS must be an integer") from exc
-    return 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -159,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = verify_population(args.max_n, threads=_thread_count(args))
+    summary = verify_population(args.max_n, threads=args.threads)
     if args.format == "json":
         _emit(summary_to_json(summary), args.out)
     else:
@@ -210,8 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"verify all connected graphs with 2..max-n vertices (max {MAX_ENUM_N})")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker processes, 1..{MAX_THREADS} (default: DEE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help=f"worker processes, 1..{MAX_THREADS} (default: 1)")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -183,19 +183,7 @@ class GraphFamily:
                 raise ValueError("gnp family needs a seed")
 
     @classmethod
-    def complete(cls, n): return cls("complete", n=n)
-
-    @classmethod
     def multipartite(cls, parts): return cls("multipartite", parts=tuple(parts))
-
-    @classmethod
-    def cycle(cls, n): return cls("cycle", n=n)
-
-    @classmethod
-    def path(cls, n): return cls("path", n=n)
-
-    @classmethod
-    def star(cls, n): return cls("star", n=n)
 
     @classmethod
     def petersen(cls): return cls("petersen")

@@ -1,15 +1,16 @@
-"""Overflow-safe exponentials, compensated summation, and a reproducible PRNG.
+"""Overflow-safe exponentials, fixed float formatting, and a reproducible PRNG.
 
 Quantities of the form ``c + e**x`` overflow float64 once ``x`` exceeds
 roughly 709.  Everything above ``EXP_OVERFLOW`` is carried in log domain
-instead; comparisons near ties fall back to double-double summation so
-that no tolerance decision rests on a rounded sum.
+instead, summed with ``math.fsum``.  No verdict needs a finer tie-break:
+each bound is settled by one slack test whose tolerance, 1e-9 relative,
+sits far above rounding level.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # exponent above which e**x is treated as unrepresentable (log-domain kicks in)
 EXP_OVERFLOW = 700.0
@@ -30,36 +31,6 @@ def log_sum_exp(values: Sequence[float]) -> float:
     if math.isinf(hi):
         return hi
     return hi + math.log(math.fsum([math.exp(v - hi) for v in values]))
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Error-free sum: returns (s, err) with s = fl(a+b) and a+b = s+err exactly."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def dd_sum(values: Iterable[float]) -> tuple[float, float]:
-    """Double-double accumulation of a sequence; exact to ~32 decimal digits."""
-    hi = 0.0
-    lo = 0.0
-    for v in values:
-        hi, e1 = two_sum(hi, v)
-        lo += e1
-        hi, e2 = two_sum(hi, lo)
-        lo = e2
-    return hi, lo
-
-
-def dd_compare(a_terms: Sequence[float], b_terms: Sequence[float]) -> int:
-    """Compare sum(a_terms) with sum(b_terms) in double-double; -1, 0, or 1."""
-    hi, lo = dd_sum(list(a_terms) + [-t for t in b_terms])
-    if hi > 0.0 or (hi == 0.0 and lo > 0.0):
-        return 1
-    if hi < 0.0 or (hi == 0.0 and lo < 0.0):
-        return -1
-    return 0
 
 
 def fmt15(x: float) -> str:

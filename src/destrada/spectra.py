@@ -46,9 +46,6 @@ class Spectrum:
         if any(map(operator.lt, self.values, self.values[1:])):
             raise ValueError("spectrum must be sorted non-increasing")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _tridiagonalize(a: list[list[float]], n: int) -> tuple[list[float], list[float]]:
     """Householder reduction in place; returns (diagonal, subdiagonal e[1..n-1])."""

@@ -62,7 +62,7 @@ EIG_FAILURE = "EIG_convergence"
 T3_ARGMAX = "T3_argmax_sanity"
 
 _T4_ROW = CATALOG[CATALOG_IDS.index(T4_NG_LOWER)]
-# worker processes; a larger --threads or DEE_THREADS is rejected before any fork
+# worker processes; a larger --threads is rejected before any fork
 MAX_THREADS = 64
 
 
@@ -122,28 +122,51 @@ def _verdicts(rows, reports) -> tuple[list, list, list]:
     return bad, found, hits
 
 
+def _l2_residual(g: Graph, ev: GraphEvaluation) -> float:
+    """How far a regular diameter-<=2 graph's distance spectrum is from its
+    adjacency transform; 0 on every other graph.
+
+    The residual is the largest eigenvalue difference, or |lambda_1(A) - r|
+    when the adjacency spectrum does not lead with r.
+    """
+    if ev.r is None or ev.rho > 2:
+        return 0.0
+    adj = eig_sym(adjacency_matrix(g))
+    try:
+        mapped = lemma2_spectrum(adj, g.n, ev.r)
+    except ValueError:  # lambda_1(A) is not r
+        return abs(adj.values[0] - ev.r)
+    return max(abs(a - b) for a, b in zip(mapped.values, ev.spectrum.values))
+
+
+def _failure(check_id: str):
+    """_check_graph's result on a graph whose battery stops at check_id."""
+    return [(check_id, math.nan)], [], [], math.nan
+
+
 def _check_graph(g: Graph, ev: GraphEvaluation | None):
     """The battery on one graph but the pair row: (violations, findings, hits, t3_slack).
 
-    ev is g's evaluation, None when its solve failed.  Violations and
-    findings are (check id, slack); hits are check ids.
+    ev is g's evaluation, None when its solve failed.  A failed adjacency
+    solve, of T6's complement or of the L2 transform, fails the graph the
+    same way.  Violations and findings are (check id, slack); hits are
+    check ids.
     """
     if ev is None:
-        return [(EIG_FAILURE, math.nan)], [], [], math.nan
+        return _failure(EIG_FAILURE)
     try:
         reports = reports_from(ev, include_t4=False)
+        l2 = _l2_residual(g, ev)
+    except EigenConvergenceError:
+        return _failure(EIG_FAILURE)
     except SpectralMismatchError:
-        return [(L4_CONTRADICTION, math.nan)], [], [], math.nan
+        return _failure(L4_CONTRADICTION)
     bad, found, hits = _verdicts(CATALOG, reports)
     failed, t3_slack = cross_checks(ev, reports)
     bad += failed
     bad += _trace_residuals(ev)
-    # regular diameter-<=2 graphs: distance spectrum via the adjacency transform
-    if ev.r is not None and ev.rho <= 2:
-        mapped = lemma2_spectrum(eig_sym(adjacency_matrix(g)), g.n, ev.r)
-        diff = max(abs(a - b) for a, b in zip(mapped.values, ev.spectrum.values))
-        if diff > SIGNATURE_ABS_TOL:
-            bad.append((L2_TRANSFORM, diff))
+    if l2 > SIGNATURE_ABS_TOL:
+        bad.append((L2_TRANSFORM, l2))
     return bad, found, hits, t3_slack
 
 
@@ -152,8 +175,8 @@ def _check_pair(n: int, mask: int):
 
     Returns (sides, pair).  sides holds _check_graph's result on the graph
     of mask, then on its complement.  pair is the pair row's (violations,
-    findings, hits), checked with the smaller mask's evaluation first; it
-    is None when the complement is disconnected or a solve failed.
+    findings, hits); it is None when the complement is disconnected or a
+    distance solve failed.
     """
     g = Graph.from_pair_mask(n, mask)
     comp = complement(g)
@@ -164,8 +187,6 @@ def _check_pair(n: int, mask: int):
     sides = (_check_graph(g, ev), _check_graph(comp, comp_ev))
     if ev is None or comp_ev is None:
         return sides, None
-    if ((1 << (n * (n - 1) // 2)) - 1) ^ mask < mask:
-        ev, comp_ev = comp_ev, ev
     return sides, _verdicts([_T4_ROW], [_T4_ROW.report(ev, True, comp_ev)])
 
 

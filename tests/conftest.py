@@ -13,22 +13,22 @@ settings.load_profile("desk")
 
 @pytest.fixture(scope="session")
 def k():
-    return lambda n: generate(GraphFamily.complete(n))
+    return lambda n: generate(GraphFamily("complete", n))
 
 
 @pytest.fixture(scope="session")
 def cycle():
-    return lambda n: generate(GraphFamily.cycle(n))
+    return lambda n: generate(GraphFamily("cycle", n))
 
 
 @pytest.fixture(scope="session")
 def path():
-    return lambda n: generate(GraphFamily.path(n))
+    return lambda n: generate(GraphFamily("path", n))
 
 
 @pytest.fixture(scope="session")
 def star():
-    return lambda n: generate(GraphFamily.star(n))
+    return lambda n: generate(GraphFamily("star", n))
 
 
 @pytest.fixture(scope="session")

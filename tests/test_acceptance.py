@@ -116,9 +116,9 @@ def test_criterion_05_least_eigenvalue_trichotomy(population7):
     assert violations_with(summary, "L4_contradiction") == []
     assert violations_with(summary, "EIG_convergence") == []
     # the three classes, exercised directly on one representative each
-    k5 = generate(GraphFamily.complete(5))
+    k5 = generate(GraphFamily("complete", 5))
     k23 = generate(GraphFamily.multipartite((2, 3)))
-    p4 = generate(GraphFamily.path(4))
+    p4 = generate(GraphFamily("path", 4))
     classify = lambda g: lemma4_classify(g, distance_spectrum(distance_matrix(g)), complement(g))
     assert classify(k5) is DistSpectrumClass.COMPLETE
     assert classify(k23) is DistSpectrumClass.MULTIPARTITE
@@ -148,9 +148,9 @@ def test_criterion_08_lower_bound_dominance(population7):
 
 
 def test_criterion_09_regular_identity_families(regular_diam2_n8, petersen):
-    cases = [generate(GraphFamily.complete(n)) for n in range(2, 11)]
+    cases = [generate(GraphFamily("complete", n)) for n in range(2, 11)]
     cases += [generate(GraphFamily.multipartite((m, m))) for m in range(1, 6)]
-    cases += [generate(GraphFamily.cycle(5)), petersen]
+    cases += [generate(GraphFamily("cycle", 5)), petersen]
     cases += regular_diam2_n8
     t6 = CATALOG_IDS.index("T6_identity")
     for g in cases:

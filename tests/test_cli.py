@@ -41,7 +41,7 @@ def test_compute_reads_edge_list_files(capsys, tmp_path):
     code, out, _ = run(capsys, "compute", "--edges", str(path))
     assert code == EXIT_OK
     rec = json.loads(out)
-    assert rec["graph_id"] == to_graph6(generate(GraphFamily.path(4)))
+    assert rec["graph_id"] == to_graph6(generate(GraphFamily("path", 4)))
     assert rec["dee"] == pytest.approx(175.463938306734, abs=1e-9)
 
 
@@ -186,27 +186,14 @@ def test_verify_output_is_identical_across_thread_counts(capsys):
     assert a == b == c
 
 
-def test_verify_thread_count_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("DEE_THREADS", "2")
-    code, a, _ = run(capsys, "verify", "--max-n", "3")
-    assert code == EXIT_OK
-    monkeypatch.setenv("DEE_THREADS", "not-a-number")
-    assert run(capsys, "verify", "--max-n", "3")[0] == EXIT_PARSE
-
-
-@pytest.mark.parametrize("source", ["flag", "environment"])
+@pytest.mark.parametrize("source", ["flag"])
 def test_verify_rejects_thread_counts_above_the_cap_before_any_fork(source, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was requested")
 
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     for threads in (MAX_THREADS + 1, 100000):
-        if source == "flag":
-            argv = ("verify", "--max-n", "6", "--threads", str(threads))
-        else:
-            monkeypatch.setenv("DEE_THREADS", str(threads))
-            argv = ("verify", "--max-n", "6")
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "verify", "--max-n", "6", "--threads", str(threads))
         assert code == EXIT_PRECONDITION
         assert out == "" and f"threads must be in [1, {MAX_THREADS}]" in err
 

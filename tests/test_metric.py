@@ -94,7 +94,7 @@ def test_cycle_distances_wrap_around(cycle):
 
 
 def test_sum_sq_distances_counts_unordered_pairs():
-    g = generate(GraphFamily.star(4))
+    g = generate(GraphFamily("star", 4))
     dm = distance_matrix(g)
     # three pairs at distance 1 to the hub, three leaf pairs at distance 2
     assert sum_sq_distances(dm) == 3 * 1 + 3 * 4

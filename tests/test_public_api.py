@@ -1,9 +1,10 @@
-"""Every name the package exports has a caller in the library or the scripts.
+"""Every public name of the library has a caller in the library or the scripts.
 
 A name that only tests use is not public API: it is dead weight that the
 library has to keep working.  A use is a load of the bare name or an
 attribute access by that name, anywhere in src/destrada/*.py other than
-__init__.py, or in scripts/*.py.
+__init__.py, or in scripts/*.py.  The benchmark's traced names in
+perfbench/spans.py count as uses too: the tracer wraps them by name.
 """
 
 import ast
@@ -12,10 +13,11 @@ from pathlib import Path
 import destrada
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "destrada"
 
 
 def used_names() -> set[str]:
-    files = [*(ROOT / "src" / "destrada").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    files = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     names = set()
     for path in files:
         if path.name == "__init__.py":
@@ -28,6 +30,40 @@ def used_names() -> set[str]:
     return names
 
 
+def traced_names() -> set[str]:
+    """The last attribute of each (module, attribute) in perfbench/spans.py's TRACED."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    [table] = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    ]
+    return {attr.rsplit(".", 1)[-1] for _, attr in ast.literal_eval(table).values()}
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """(where, name) of each public top-level function or class, and of each
+    public method or property of those classes (dunder methods are private)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{path.stem}.{node.name}.{sub.name}", sub.name) for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                )
+    return found
+
+
 def test_every_export_has_a_non_test_caller():
     unused = sorted(set(destrada.__all__) - used_names())
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    callers = used_names() | traced_names()
+    unused = [where for where, name in public_definitions() if name not in callers]
+    assert unused == [], f"defined but called only by tests: {unused}"

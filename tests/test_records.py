@@ -122,7 +122,7 @@ def test_record_json_is_deterministic(petersen):
 
 
 def test_overflowed_index_serializes_as_null_value():
-    g = generate(GraphFamily.path(62))
+    g = generate(GraphFamily("path", 62))
     rec = build_record(g)
     assert rec.dee_log_domain
     assert rec.dee == math.inf

@@ -12,11 +12,15 @@ import pytest
 import destrada.bounds as bounds_mod
 import destrada.spectra as spectra_mod
 import destrada.verify as verify_mod
-from destrada.bounds import SIGNATURE_ABS_TOL
+from destrada.bounds import SIGNATURE_ABS_TOL, evaluate
+from destrada.cli import EXIT_VIOLATION, main
 from destrada.graphs import (
     Graph,
+    GraphFamily,
     canonical_form,
+    complement,
     connected_classes,
+    generate,
     labelings,
     parse_graph6,
     to_graph6,
@@ -24,6 +28,7 @@ from destrada.graphs import (
 from destrada.metric import distance_matrix, sum_sq_distances
 from destrada.spectra import (
     EigenConvergenceError,
+    Spectrum,
     adjacency_matrix,
     distance_spectrum,
     eig_sym,
@@ -334,6 +339,79 @@ def test_failed_trace_identity_on_a_representative_fails_its_class(monkeypatch, 
         (gid, "L1_identity") for gid in _ids(labelings(5, house_rep))
     ]
     assert (summary.findings, summary.equality_hits) == (pop5.findings, pop5.equality_hits)
+
+
+C5_LABELINGS = labelings(5, canonical_form(5, C5.pair_mask())[0])
+
+
+def _c5_adjacency_solves(monkeypatch, module, fake) -> None:
+    """Route module's eig_sym through fake(rows, real) on every five-cycle's adjacency matrix."""
+    victims = [adjacency_matrix(Graph.from_pair_mask(5, m)) for m in C5_LABELINGS]
+    real = module.eig_sym
+    monkeypatch.setattr(
+        module, "eig_sym", lambda rows: fake(rows, real) if rows in victims else real(rows)
+    )
+
+
+@pytest.mark.parametrize("module", [verify_mod, bounds_mod], ids=["L2_transform", "T6_complement"])
+def test_failed_adjacency_solve_fails_its_class(module, monkeypatch, capsys, pop5):
+    # to five vertices the checks solve adjacency matrices only on K5 and
+    # the five-cycle: the L2 transform solves the graph's own, the T6 row
+    # its complement's, here another five-cycle.  A failed solve of either
+    # is a fact of the class, recorded like a failed distance solve; the
+    # pair row, which reads distance spectra only, stands
+    def fail(rows, real):
+        raise EigenConvergenceError("forced")
+
+    _c5_adjacency_solves(monkeypatch, module, fail)
+    summary = verify_population(5)
+    c5 = _ids(C5_LABELINGS)
+    assert [v[:2] for v in summary.violations] == [(gid, "EIG_convergence") for gid in c5]
+    others = [f for f in pop5.findings if f[0] not in c5]
+    assert [f for f in summary.findings if f[0] not in c5] == others
+    assert main(["verify", "--max-n", "5"]) == EXIT_VIOLATION
+    capsys.readouterr()
+
+
+def test_adjacency_spectrum_off_regularity_fails_the_l2_transform(monkeypatch, capsys, pop5):
+    # lemma2_spectrum rejects an adjacency spectrum that does not lead with
+    # the degree r; the sweep records that as L2_transform on the class,
+    # with |lambda_1(A) - r| as the residual, and leaves every other verdict
+    def shifted(rows, real):
+        s = real(rows)
+        return Spectrum((s.values[0] + 0.5,) + s.values[1:])
+
+    _c5_adjacency_solves(monkeypatch, verify_mod, shifted)
+    summary = verify_population(5)
+    c5 = _ids(C5_LABELINGS)
+    assert [v[:2] for v in summary.violations] == [(gid, "L2_transform") for gid in c5]
+    assert all(v[2] == pytest.approx(0.5, abs=1e-12) for v in summary.violations)
+    assert (summary.findings, summary.equality_hits) == (pop5.findings, pop5.equality_hits)
+    assert main(["verify", "--max-n", "5"]) == EXIT_VIOLATION
+    capsys.readouterr()
+
+
+def test_pair_row_is_symmetric_in_its_two_graphs():
+    # the pair row reads only n and the sum of the two indices, so either
+    # graph of a pair may be evaluated first: IEEE addition commutes and
+    # log_sum_exp is a max plus a correctly rounded fsum.  Every class pair
+    # to six vertices, and the 62-vertex path, whose pair sum is in log
+    # domain, give the same report both ways round
+    row = verify_mod._T4_ROW
+    classes = connected_classes(6)
+    graphs = [
+        Graph.from_pair_mask(n, rep)
+        for n in range(2, 7)
+        for rep, comp_rep in verify_mod._class_pairs(n, classes[n])
+        if comp_rep is not None
+    ]
+    p62 = generate(GraphFamily("path", 62))
+    assert len(graphs) == 40
+    for g in [*graphs, p62]:
+        comp = complement(g)
+        ev, comp_ev = evaluate(g, comp), evaluate(comp, g)
+        assert row.report(ev, True, comp_ev) == row.report(comp_ev, True, ev)
+    assert row.report(ev, True, comp_ev).log_domain
 
 
 def test_pair_row_hits_land_on_the_owner_alone():
