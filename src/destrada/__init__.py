@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     GraphFamily,
     GraphFormatError,
+    PreconditionError,
     complement,
     generate,
     is_connected,
@@ -65,6 +66,7 @@ __all__ = [
     "GraphEvaluation",
     "GraphFamily",
     "GraphFormatError",
+    "PreconditionError",
     "ReportRecord",
     "SpectralMismatchError",
     "Spectrum",

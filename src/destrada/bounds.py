@@ -242,15 +242,11 @@ class GraphEvaluation:
         return estrada_index(eig_sym(adjacency_matrix(self.comp)))
 
 
-def evaluate(g: Graph, comp: Graph | None = None) -> GraphEvaluation:
-    """Solve g's distance spectrum once and gather the facts every row reads.
-
-    Pass comp when the complement of g is already built.
-    """
+def evaluate(g: Graph) -> GraphEvaluation:
+    """Solve g's distance spectrum once and gather the facts every row reads."""
     dm = distance_matrix(g)
     s = distance_spectrum(dm)
-    if comp is None:
-        comp = complement(g)
+    comp = complement(g)
     degs = sorted(g.degrees(), reverse=True)
     return GraphEvaluation(
         graph=g,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 parse error (inputs or arguments), 3 precondition
 violation (disconnected graph, family constraint, max-n or thread count
-out of range), 4 verification found a violated invariant.  Output is
+out of range), 4 verification found a violated invariant.  Any other
+exception is the program's own failure and is not caught.  Output is
 byte-deterministic for a fixed input, including across --threads settings.
 """
 
@@ -19,6 +20,7 @@ from .graphs import (
     Graph,
     GraphFamily,
     GraphFormatError,
+    PreconditionError,
     generate,
     is_connected,
     parse_edge_list,
@@ -210,11 +212,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
-        # family constraints, max-n range, thread count
+    except PreconditionError as exc:
+        # disconnected input, family constraints, max-n range, thread count;
+        # any other error is the program's own and surfaces as a crash
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -24,7 +24,11 @@ class GraphFormatError(ValueError):
     """Malformed edge-list or graph6 input."""
 
 
-class DisconnectedGraphError(ValueError):
+class PreconditionError(ValueError):
+    """A well-formed argument outside what an operation accepts."""
+
+
+class DisconnectedGraphError(PreconditionError):
     """Operation requires a connected graph."""
 
 
@@ -164,23 +168,23 @@ class GraphFamily:
 
     def __post_init__(self):
         if self.kind not in _FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise PreconditionError(f"unknown family kind {self.kind!r}")
         if self.kind in ("complete", "path", "star"):
             if self.n is None or self.n < 1:
-                raise ValueError(f"{self.kind} family needs n >= 1")
+                raise PreconditionError(f"{self.kind} family needs n >= 1")
         elif self.kind == "cycle":
             if self.n is None or self.n < 3:
-                raise ValueError("cycle family needs n >= 3")
+                raise PreconditionError("cycle family needs n >= 3")
         elif self.kind == "multipartite":
             if self.parts is None or len(self.parts) < 2 or any(p < 1 for p in self.parts):
-                raise ValueError("multipartite family needs >= 2 parts, each >= 1")
+                raise PreconditionError("multipartite family needs >= 2 parts, each >= 1")
         elif self.kind == "gnp":
             if self.n is None or self.n < 1:
-                raise ValueError("gnp family needs n >= 1")
+                raise PreconditionError("gnp family needs n >= 1")
             if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise ValueError("gnp family needs p in [0, 1]")
+                raise PreconditionError("gnp family needs p in [0, 1]")
             if self.seed is None:
-                raise ValueError("gnp family needs a seed")
+                raise PreconditionError("gnp family needs a seed")
 
     @classmethod
     def multipartite(cls, parts): return cls("multipartite", parts=tuple(parts))
@@ -297,7 +301,7 @@ def _adjacency_mask(adj: Sequence[int]) -> int:
 def connected_pair_masks(n: int) -> Iterator[int]:
     """Ascending pair masks of connected labeled graphs."""
     if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
+        raise PreconditionError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
     npairs = n * (n - 1) // 2
     need = n - 1  # fewer edges can never connect n vertices
     for mask in range(1 << npairs):
@@ -439,7 +443,7 @@ def connected_classes(max_n: int) -> dict[int, list[tuple[int, int]]]:
     representative regrows it.  A class has n!/|Aut| labelings.
     """
     if not 1 <= max_n <= MAX_ENUM_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
+        raise PreconditionError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
     table = {1: [(0, 1)]}
     for n in range(2, max_n + 1):
         v = n - 1  # the new vertex

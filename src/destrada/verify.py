@@ -2,16 +2,18 @@
 
 Every check reads only a graph's distance spectrum, degrees and
 complement, so it gives the same verdict on every labeling of one
-isomorphism class.  The sweep therefore evaluates each connected class
-once, with the full battery, together with its complement class when
-that is connected, and counts the class's n!/|Aut| labelings.  Every
-verdict and every printed number is a fact of those two representatives:
-the summary still names labeled graphs, so each labeling of a class pair
-that records anything gets its class's entries under its own graph6 id,
-with no solve of its own.  When a graph and its complement are both
-connected, the smaller of their two masks owns the pair and gets the
-pair row.  Work can be sharded across processes; the merge re-sorts by
-(n, mask) so the summary is identical for any shard count.
+isomorphism class.  The sweep therefore solves each connected class
+once, on its canonical labeling, with the full battery, and counts the
+class's n!/|Aut| labelings.  A class and its connected complement class
+form one job, whose pair row reads the two canonical labelings; a
+self-complementary class's one solve stands on both sides of it.  Every
+printed number is a fact of one class's canonical labeling: the summary
+still names labeled graphs, so each labeling of a class that records
+anything gets its class's entries under its own graph6 id, with no solve
+of its own.  When a graph and its complement are both connected, the
+smaller of their two masks owns the pair and also gets the pair row.
+Work can be sharded across processes; the merge re-sorts by (n, mask)
+so the summary is identical for any shard count.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .bounds import (
 from .graphs import (
     MAX_ENUM_N,
     Graph,
+    PreconditionError,
     canonical_form,
-    complement,
     connected_classes,
     is_connected,
     labelings,
@@ -84,10 +86,10 @@ class VerificationSummary:
         return not self.violations
 
 
-def _evaluate(g: Graph, comp: Graph | None = None) -> GraphEvaluation | None:
+def _evaluate(g: Graph) -> GraphEvaluation | None:
     """g's evaluation, or None when the eigensolver gives up on it."""
     try:
-        return evaluate(g, comp)
+        return evaluate(g)
     except EigenConvergenceError:
         return None
 
@@ -170,78 +172,78 @@ def _check_graph(g: Graph, ev: GraphEvaluation | None):
     return bad, found, hits, t3_slack
 
 
-def _check_pair(n: int, mask: int):
-    """The battery on a connected labeled graph and, when connected, its complement.
+def _check_pair(n: int, rep: int, comp_rep: int | None):
+    """The battery on a connected graph and, when given, its connected complement.
 
-    Returns (sides, pair).  sides holds _check_graph's result on the graph
-    of mask, then on its complement.  pair is the pair row's (violations,
-    findings, hits); it is None when the complement is disconnected or a
-    distance solve failed.
+    rep and comp_rep are the pair masks of the two graphs; comp_rep is None
+    when the complement is disconnected, and rep itself when the graph is
+    self-complementary, which is then solved once and stands on both sides
+    of the pair row.  Returns (mask, side, owner) for each distinct mask:
+    side is _check_graph's result on that graph, what its labelings
+    record; owner is what a labeling records when it owns its pair, side
+    plus the pair row, or EIG_convergence alone when a distance solve of
+    the pair failed.  With no connected complement, owner is side.
     """
-    g = Graph.from_pair_mask(n, mask)
-    comp = complement(g)
-    ev = _evaluate(g, comp)
-    if not is_connected(comp):
-        return (_check_graph(g, ev),), None
-    comp_ev = _evaluate(comp, g)
-    sides = (_check_graph(g, ev), _check_graph(comp, comp_ev))
-    if ev is None or comp_ev is None:
-        return sides, None
-    return sides, _verdicts([_T4_ROW], [_T4_ROW.report(ev, True, comp_ev)])
+    masks = [rep] if comp_rep in (None, rep) else [rep, comp_rep]
+    graphs = [Graph.from_pair_mask(n, m) for m in masks]
+    evs = [_evaluate(g) for g in graphs]
+    sides = [_check_graph(g, ev) for g, ev in zip(graphs, evs)]
+    if comp_rep is None:
+        return [(rep, sides[0], sides[0])]
+    if any(ev is None for ev in evs):
+        return [(m, side, _failure(EIG_FAILURE)) for m, side in zip(masks, sides)]
+    bad, found, hits = _verdicts([_T4_ROW], [_T4_ROW.report(evs[0], True, evs[-1])])
+    return [
+        (m, side, (side[0] + bad, side[1] + found, side[2] + hits, side[3]))
+        for m, side in zip(masks, sides)
+    ]
 
 
-def _labeled(n: int, x: int, facts) -> tuple[list, list, list]:
-    """The entries of labeled graph x and its complement, from a pair of their classes.
+def _labeled(n: int, x: int, side, owner) -> tuple[list, list, list]:
+    """The entries of labeled graph x, from _check_pair's side and owner for its class.
 
-    facts is _check_pair's result on any labeling of x's class: x gets its
-    first side's entries and x's complement the second's.  The smaller
-    mask owns the pair: it also gets the pair row, or EIG_convergence
-    alone when either solve failed.  Entries are (n, mask, graph6 id,
-    check id[, slack]), returned as (violations, findings, hits).
+    x gets owner when it is the smaller mask of x and its complement, and
+    side otherwise.  Entries are (n, mask, graph6 id, check id[, slack]),
+    returned as (violations, findings, hits).
     """
-    sides, pair = facts
-    masks = (x, ((1 << (n * (n - 1) // 2)) - 1) ^ x)
-    out = ([], [], [])
-    for mask, (bad, found, hits, _) in zip(masks, sides):
-        if len(sides) == 2 and mask == min(masks):
-            if pair is None:
-                bad, found, hits = [(EIG_FAILURE, math.nan)], [], []
-            else:
-                bad, found, hits = bad + pair[0], found + pair[1], hits + pair[2]
-        if bad or found or hits:
-            gid = to_graph6(Graph.from_pair_mask(n, mask))
-            out[0].extend((n, mask, gid, *e) for e in bad)
-            out[1].extend((n, mask, gid, *e) for e in found)
-            out[2].extend((n, mask, gid, cid) for cid in hits)
-    return out
+    bad, found, hits, _ = owner if x < ((1 << (n * (n - 1) // 2)) - 1) ^ x else side
+    if not (bad or found or hits):
+        return [], [], []
+    gid = to_graph6(Graph.from_pair_mask(n, x))
+    return (
+        [(n, x, gid, *e) for e in bad],
+        [(n, x, gid, *e) for e in found],
+        [(n, x, gid, cid) for cid in hits],
+    )
 
 
 def _run_shard(args):
-    """One (n, masks) shard: _check_pair on each mask."""
-    n, masks = args
-    return [_check_pair(n, mask) for mask in masks]
+    """One (n, pairs) shard: _check_pair on each (rep, comp_rep) pair."""
+    n, pairs = args
+    return [_check_pair(n, rep, comp_rep) for rep, comp_rep in pairs]
 
 
-def _run_shards(pool, threads: int, jobs) -> dict[tuple[int, int], tuple]:
-    """_check_pair(n, mask) for every mask of each (n, masks) job, keyed by (n, mask).
+def _run_shards(pool, threads: int, jobs) -> list:
+    """_check_pair's results on every pair of each (n, pairs) job, concatenated.
 
-    Each job's masks are dealt round-robin to at most `threads` shards,
+    Each job's pairs are dealt round-robin to at most `threads` shards,
     which run in the pool, or here when pool is None.
     """
-    shards = [(n, masks[k::threads]) for n, masks in jobs for k in range(min(threads, len(masks)))]
+    shards = [(n, pairs[k::threads]) for n, pairs in jobs for k in range(min(threads, len(pairs)))]
     if pool is None:
         outs = [_run_shard(s) for s in shards]
     else:
         outs = pool.map(_run_shard, shards, chunksize=1)
-    return {(n, m): res for (n, sub), out in zip(shards, outs) for m, res in zip(sub, out)}
+    return [(n, res) for (n, _), out in zip(shards, outs) for res in out]
 
 
 def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, int | None]]:
     """(representative, complement representative) for each class and complement-class pair.
 
-    A pair is represented by its smaller canonical mask; the complement of
-    that labeling is the other class's representative, None when it is
-    disconnected.
+    Both are canonical masks, the smaller one first; the complement
+    representative is None when the complement is disconnected, and the
+    representative itself when the class is self-complementary.  This is
+    the one place that tests a complement's connectivity.
     """
     full = (1 << (n * (n - 1) // 2)) - 1
     taken = set()
@@ -303,9 +305,9 @@ def complete_graph_id(n: int) -> str:
 def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
     """Sweep all connected labeled graphs with 2 <= n <= max_n, class by class."""
     if not 2 <= max_n <= MAX_ENUM_N:
-        raise ValueError(f"max_n must be in [2, {MAX_ENUM_N}]")
+        raise PreconditionError(f"max_n must be in [2, {MAX_ENUM_N}]")
     if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must be in [1, {MAX_THREADS}]")
+        raise PreconditionError(f"threads must be in [1, {MAX_THREADS}]")
 
     classes = connected_classes(max_n)
     orders = range(2, max_n + 1)
@@ -317,23 +319,16 @@ def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
     else:
         pool_cm = contextlib.nullcontext()  # None: shards run in this process
     with pool_cm as pool:
-        facts = _run_shards(pool, threads, [(n, [rep for rep, _ in pairs[n]]) for n in orders])
+        facts = _run_shards(pool, threads, [(n, pairs[n]) for n in orders])
 
     entries = ([], [], [])
     ranked = []  # each class's T3 slack, under its canonical mask
-    for n in orders:
-        full = (1 << (n * (n - 1) // 2)) - 1
-        for rep, comp_rep in pairs[n]:
-            sides = facts[n, rep][0]
-            ranked.append((n, rep, sides[0][3]))
-            if comp_rep not in (None, rep):
-                ranked.append((n, comp_rep, sides[1][3]))
-            if not any(_labeled(n, rep, facts[n, rep])):
+    for n, checked in facts:
+        for cls, side, owner in checked:
+            ranked.append((n, cls, side[3]))
+            if not any(side[:3] + owner[:3]):
                 continue
-            labs = labelings(n, rep)
-            if comp_rep == rep:  # self-complementary: one labeling per labeled pair
-                labs = [x for x in labs if x < full ^ x]
-            for x in labs:
-                for acc, new in zip(entries, _labeled(n, x, facts[n, rep])):
+            for x in labelings(n, cls):
+                for acc, new in zip(entries, _labeled(n, x, side, owner)):
                     acc.extend(new)
     return _summarize(max_n, counts, entries, ranked)

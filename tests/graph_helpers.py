@@ -86,9 +86,10 @@ def labeled_sweep(max_n: int) -> VerificationSummary:
     """verify_population(max_n) computed one labeled graph at a time.
 
     Walks every connected labeled graph in mask order and gives each
-    unordered {graph, complement} pair verify's per-graph battery once,
-    at its first mask; the partner's mask is skipped when the walk
-    reaches it.  No isomorphism class is formed: every labeled graph's
+    unordered {graph, complement} pair verify's battery once, at its
+    first mask, through _check_pair on the two masks themselves; the
+    partner's mask is skipped when the walk reaches it.  No isomorphism
+    class is formed and no orbit is expanded: every labeled graph's
     entries and T3 slack come from its own solve, so it is the
     differential oracle for the class sweep.  Cached, so each order is
     swept once per session: call it only on unpatched code.
@@ -103,12 +104,13 @@ def labeled_sweep(max_n: int) -> VerificationSummary:
             counts[n] = counts.get(n, 0) + 1
             if mask in done:
                 continue
-            facts = _check_pair(n, mask)
-            for m, side in zip((mask, full ^ mask), facts[0]):
+            comp = full ^ mask
+            connected = is_connected(Graph.from_pair_mask(n, comp))
+            for m, side, owner in _check_pair(n, mask, comp if connected else None):
                 done.add(m)
                 ranked.append((n, m, side[3]))
-            for acc, new in zip(entries, _labeled(n, mask, facts)):
-                acc.extend(new)
+                for acc, new in zip(entries, _labeled(n, m, side, owner)):
+                    acc.extend(new)
     return _summarize(max_n, counts, entries, ranked)
 
 

@@ -6,6 +6,7 @@ import multiprocessing
 import pytest
 
 import destrada.spectra as spectra_mod
+import destrada.verify as verify_mod
 from destrada.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -196,6 +197,18 @@ def test_verify_rejects_thread_counts_above_the_cap_before_any_fork(source, caps
         code, out, err = run(capsys, "verify", "--max-n", "6", "--threads", str(threads))
         assert code == EXIT_PRECONDITION
         assert out == "" and f"threads must be in [1, {MAX_THREADS}]" in err
+
+
+def test_an_internal_value_error_surfaces_as_a_crash(capsys, monkeypatch):
+    # exit 3 says an argument was out of range; a ValueError from inside
+    # the sweep is the program's own failure and raises out of main
+    def broken(spectrum, moment):
+        raise ValueError("forced invariant failure")
+
+    monkeypatch.setattr(verify_mod, "lemma1_check", broken)
+    with pytest.raises(ValueError, match="forced invariant failure"):
+        main(["verify", "--max-n", "4"])
+    assert capsys.readouterr().err == ""
 
 
 # --- input validation and exit codes -----------------------------------------

@@ -3,6 +3,7 @@ merging, dedup, and summary contents."""
 
 import json
 import math
+import multiprocessing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from destrada.cli import EXIT_VIOLATION, main
 from destrada.graphs import (
     Graph,
     GraphFamily,
+    PreconditionError,
     canonical_form,
     complement,
     connected_classes,
@@ -26,6 +28,7 @@ from destrada.graphs import (
     to_graph6,
 )
 from destrada.metric import distance_matrix, sum_sq_distances
+from destrada.records import summary_to_json
 from destrada.spectra import (
     EigenConvergenceError,
     Spectrum,
@@ -53,13 +56,13 @@ def pop5():
 
 
 def test_population_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         verify_population(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         verify_population(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         verify_population(3, threads=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         verify_population(3, threads=MAX_THREADS + 1)
 
 
@@ -114,11 +117,21 @@ def test_sharded_run_matches_serial(pop5):
         assert verify_population(5, threads=threads) == pop5
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_other_start_methods_print_the_serial_bytes(method, monkeypatch, pop5):
+    # the sweep asks for forked workers; workers that import destrada
+    # afresh, under spawn or forkserver, print the same bytes too
+    context = multiprocessing.get_context(method)
+    shim = SimpleNamespace(get_context=lambda _: context)
+    monkeypatch.setattr(verify_mod, "multiprocessing", shim)
+    assert summary_to_json(verify_population(5, threads=2)) == summary_to_json(pop5)
+
+
 @pytest.mark.parametrize("max_n", [2, 3, 4, 5, 6])
 def test_class_sweep_equals_the_labeled_sweep(max_n, pop5):
     # the labeled sweep solves all 27,475 labeled graphs one by one; the
-    # class sweep prints each labeling's slacks from its class
-    # representatives, so the two agree but for rounding in the last digits
+    # class sweep prints each labeling's slacks from its class's canonical
+    # labeling, so the two agree but for rounding in the last digits
     class_sweep = pop5 if max_n == 5 else verify_population(max_n)
     assert_same_up_to_rounding(summary_json(class_sweep), summary_json(labeled_sweep(max_n)))
 
@@ -164,34 +177,27 @@ def spied7():
 
 
 def test_each_distance_spectrum_is_solved_once(spied7):
-    # each class pair is solved once, on its representative pair, and no
-    # labeling is solved on its own: 998 distance spectra for the
-    # 1,893,731 labeled graphs up to n = 7, one per class and one more for
-    # each self-complementary class (P4, the five-cycle and the bull)
+    # each class is solved once, on its own canonical labeling, and no
+    # other labeling is solved: 995 distance spectra for the 1,893,731
+    # labeled graphs up to n = 7, one per class.  The self-complementary
+    # classes (P4, the five-cycle and the bull) are not solved twice
     assert spied7.summary.graphs_checked == 1893731
     solved = [(dm.n, _graph_of(dm).pair_mask()) for dm, _ in spied7.spectra]
-    assert len(solved) == len(set(solved)) == 998
-    by_class = {}
-    for n, m in solved:
-        by_class.setdefault((n, canonical_form(n, m)[0]), []).append(m)
+    assert len(solved) == len(set(solved)) == 995
     classes = connected_classes(7)
-    assert by_class.keys() == {(n, m) for n in range(2, 8) for m, _ in classes[n]}
-    twice = {key: masks for key, masks in by_class.items() if len(masks) > 1}
-    assert len(twice) == 3
-    for (n, _), (a, b) in twice.items():
-        assert a ^ b == (1 << (n * (n - 1) // 2)) - 1  # a graph and its complement
-    # adjacency spectra serve only the regular diameter-<=2 representatives:
+    assert set(solved) == {(n, m) for n in range(2, 8) for m, _ in classes[n]}
+    # adjacency spectra serve only the regular diameter-<=2 classes:
     # L2_transform solves A(G) and T6_identity A(co-G)
     regular = {(n, m) for n, m in solved if _is_regular_diameter_two(Graph.from_pair_mask(n, m))}
     full = {n: (1 << (n * (n - 1) // 2)) - 1 for n in range(2, 8)}
-    assert len(spied7.adjacency) == 2 * len(regular) == 28
+    assert len(spied7.adjacency) == 2 * len(regular) == 26
     assert all(
         (n, m) in regular or (n, full[n] ^ m) in regular for n, m in spied7.adjacency
     )
 
 
 def test_every_solved_distance_spectrum_matches_lapack(spied7):
-    # the LAPACK oracle on each of the 998 spectra the sweep solves up to
+    # the LAPACK oracle on each of the 995 spectra the sweep solves up to
     # n = 7: numpy eigvalsh within 1e-9 and the trace and second-moment
     # identities
     for dm, s in spied7.spectra:
@@ -200,7 +206,44 @@ def test_every_solved_distance_spectrum_matches_lapack(spied7):
         moment = 2 * sum_sq_distances(dm)
         res_sum, res_sq = lemma1_check(s, moment)
         assert res_sum <= 1e-9 and res_sq <= 1e-9 * moment
-    assert len(spied7.spectra) == 998
+    assert len(spied7.spectra) == 995
+
+
+def test_every_labeling_of_a_class_prints_the_same_entries(spied7):
+    # every printed number is a fact of one canonical labeling, so the
+    # labelings of a class carry the same check ids with identical
+    # slacks, and every labeling of a class that records anything is
+    # printed.  The pair row goes only to the labelings that own their
+    # pair, the smaller mask of it and its complement, so it is compared
+    # among those owners alone
+    s = spied7.summary
+    by_labeling = {}
+    for kind, entries in (("violation", s.violations), ("finding", s.findings)):
+        for gid, cid, slack in entries:
+            by_labeling.setdefault(gid, []).append((cid, kind, slack))
+    for gid, cid in s.equality_hits:
+        by_labeling.setdefault(gid, []).append((cid, "hit", None))
+    by_class = {}
+    for gid, entries in by_labeling.items():
+        g = parse_graph6(gid)
+        mask = g.pair_mask()
+        rows, pair_rows = by_class.setdefault((g.n, *canonical_form(g.n, mask)), ([], []))
+        own = tuple(sorted(e for e in entries if e[0] != "T4_ng_lower"))
+        pair = tuple(sorted(e for e in entries if e[0] == "T4_ng_lower"))
+        if own:
+            rows.append(own)
+        if pair:
+            assert mask < ((1 << (g.n * (g.n - 1) // 2)) - 1) ^ mask, gid  # an owner
+            pair_rows.append(pair)
+    for (n, rep, aut), (rows, pair_rows) in by_class.items():
+        assert len(rows) in (0, math.factorial(n) // aut), (n, rep)
+        assert len(set(rows)) <= 1, (n, rep, set(rows))
+        assert len(set(pair_rows)) <= 1, (n, rep, set(pair_rows))
+    # the five-cycle: 12 labelings, each with its T2_lower finding, and
+    # the pair row on the owner of each of its 6 labeled pairs
+    rows, pair_rows = by_class[(5, *canonical_form(5, C5.pair_mask()))]
+    assert (len(rows), len(pair_rows)) == (12, 6)
+    assert [e[0] for e in rows[0]] == ["L3_lambda1_lower", "T2_lower", "T6_identity"]
 
 
 def _spectrum_of_each_class(spied7) -> dict:
@@ -210,7 +253,7 @@ def _spectrum_of_each_class(spied7) -> dict:
 
 
 def test_regular_diameter_two_spectra_match_their_adjacency_transform(spied7):
-    # L2_transform runs on the representative pair alone and the summary
+    # L2_transform runs on each class's canonical labeling alone and the summary
     # prints each labeling's slack from its class, so the transform is
     # checked here on every labeling of each regular diameter-<=2 class up
     # to n = 7: solved here, its spectrum matches the transform of its
@@ -286,14 +329,16 @@ PATH5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 def test_failed_complement_solve_fails_both_graphs_of_the_pair(monkeypatch, pop5):
     # the bull (a triangle with two pendant vertices) is self-complementary
-    # and records nothing.  The sweep solves its canonical labeling and that
-    # labeling's complement; a failed solve of the complement is a fact of
-    # the class.  Each labeled pair has a graph in the complement's place,
-    # which fails, and an owner left without the pair row, which fails
-    # too, so all 60 labelings record EIG_convergence and nothing else
+    # and records nothing.  The sweep solves its canonical labeling once,
+    # and that solve stands on both sides of the pair row, so a failed
+    # solve is the failure of the complement's solve too.  Each labeled
+    # pair has a graph in the complement's place, which fails, and an
+    # owner left without the pair row, which fails too, so all 60
+    # labelings record EIG_convergence and nothing else
     bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
     rep, _ = canonical_form(5, bull.pair_mask())
-    _fail_solves_of(monkeypatch, [FULL5 ^ rep])
+    assert (rep, rep) in verify_mod._class_pairs(5, connected_classes(5)[5])
+    _fail_solves_of(monkeypatch, [rep])
     summary = verify_population(5)
     assert not summary.passed
     assert [v[:2] for v in summary.violations] == [
@@ -305,14 +350,14 @@ def test_failed_complement_solve_fails_both_graphs_of_the_pair(monkeypatch, pop5
 
 def test_failed_representative_solve_fails_its_class_and_every_pair_owner(monkeypatch, pop5):
     # the five-vertex path and its complement, the house, form a class
-    # pair, solved on the path's canonical labeling and its complement.  A
-    # failed solve of that house fails every labeling of the house, and
-    # every labeling of the path that owns its pair, left without the pair
-    # row; the path labelings that do not own their pair record nothing
+    # pair, solved on the two canonical labelings.  A failed solve of the
+    # house fails every labeling of the house, and every labeling of the
+    # path that owns its pair, left without the pair row; the path
+    # labelings that do not own their pair record nothing
     rep, _ = canonical_form(5, PATH5.pair_mask())
     house_rep, _ = canonical_form(5, FULL5 ^ rep)
     assert (rep, house_rep) in verify_mod._class_pairs(5, connected_classes(5)[5])
-    _fail_solves_of(monkeypatch, [FULL5 ^ rep])
+    _fail_solves_of(monkeypatch, [house_rep])
     summary = verify_population(5)
     owners = {x for x in labelings(5, rep) if x < FULL5 ^ x}
     assert 0 < len(owners) < 60  # pairs are owned from both classes
@@ -329,7 +374,7 @@ def test_failed_trace_identity_on_a_representative_fails_its_class(monkeypatch, 
     # of the house L1_identity, with no solve of its own, and nothing else
     rep, _ = canonical_form(5, PATH5.pair_mask())
     house_rep, _ = canonical_form(5, FULL5 ^ rep)
-    victim_rows = distance_matrix(Graph.from_pair_mask(5, FULL5 ^ rep)).rows
+    victim_rows = distance_matrix(Graph.from_pair_mask(5, house_rep)).rows
     real = verify_mod.sum_sq_distances
     monkeypatch.setattr(
         verify_mod, "sum_sq_distances", lambda dm: real(dm) + (dm.rows == victim_rows)
@@ -395,35 +440,40 @@ def test_pair_row_is_symmetric_in_its_two_graphs():
     # the pair row reads only n and the sum of the two indices, so either
     # graph of a pair may be evaluated first: IEEE addition commutes and
     # log_sum_exp is a max plus a correctly rounded fsum.  Every class pair
-    # to six vertices, and the 62-vertex path, whose pair sum is in log
+    # to six vertices, on the two canonical labelings the sweep solves, and
+    # the 62-vertex path and its complement, whose pair sum is in log
     # domain, give the same report both ways round
     row = verify_mod._T4_ROW
     classes = connected_classes(6)
-    graphs = [
-        Graph.from_pair_mask(n, rep)
+    pairs = [
+        (Graph.from_pair_mask(n, rep), Graph.from_pair_mask(n, comp_rep))
         for n in range(2, 7)
         for rep, comp_rep in verify_mod._class_pairs(n, classes[n])
         if comp_rep is not None
     ]
     p62 = generate(GraphFamily("path", 62))
-    assert len(graphs) == 40
-    for g in [*graphs, p62]:
-        comp = complement(g)
-        ev, comp_ev = evaluate(g, comp), evaluate(comp, g)
+    assert len(pairs) == 40
+    for g, comp in [*pairs, (p62, complement(p62))]:
+        ev, comp_ev = evaluate(g), evaluate(comp)
         assert row.report(ev, True, comp_ev) == row.report(comp_ev, True, ev)
     assert row.report(ev, True, comp_ev).log_domain
 
 
 def test_pair_row_hits_land_on_the_owner_alone():
-    # the pair row is checked once, on the representative pair, and goes
-    # to the owner of each labeled pair, the smaller mask.  For a
-    # five-cycle whose complement has the smaller mask the owner sits in
-    # the complement's place, so it, and not the labeling, gets T4_ng_lower
+    # the pair row is checked once, on the five-cycle's canonical labeling
+    # standing on both sides of it, and goes to the owner of each labeled
+    # pair, the smaller mask.  For a five-cycle whose complement has the
+    # smaller mask the owner sits in the complement's place, so it, and
+    # not the labeling, gets T4_ng_lower
     rep, _ = canonical_form(5, C5.pair_mask())
     assert rep < FULL5 ^ rep  # the representative owns its own pair
-    facts = verify_mod._check_pair(5, rep)
+    [(cls, side, owner)] = verify_mod._check_pair(5, rep, rep)  # one solve
+    assert cls == rep
     x = next(m for m in labelings(5, rep) if FULL5 ^ m < m)
-    violations, findings, hits = verify_mod._labeled(5, x, facts)
+    violations, findings, hits = (
+        a + b for a, b in zip(verify_mod._labeled(5, x, side, owner),
+                              verify_mod._labeled(5, FULL5 ^ x, side, owner))
+    )
 
     def ids(entries, mask):
         return [e[3] for e in entries if e[1] == mask]
@@ -433,7 +483,8 @@ def test_pair_row_hits_land_on_the_owner_alone():
     assert ids(findings, x) == ["T2_lower"]
     assert ids(hits, x) == ids(hits, FULL5 ^ x) == ["T6_identity", "L3_lambda1_lower"]
     [t4] = [e for e in findings if e[3] == "T4_ng_lower"]
-    assert t4[4] == facts[1][1][0][1]  # the representative pair's slack
+    ev = evaluate(Graph.from_pair_mask(5, rep))
+    assert t4[4] == verify_mod._T4_ROW.report(ev, True, ev).slack  # the class's own pair
 
 
 def test_t3_argmax_sanity_flags_a_complete_graph_on_top(monkeypatch):
