@@ -22,6 +22,7 @@ from .bounds import (
     is_complete,
     is_complete_multipartite,
     lemma4_classify,
+    pair_report,
     reports_from,
 )
 from .graphs import (
@@ -88,6 +89,7 @@ __all__ = [
     "lemma1_check",
     "lemma2_spectrum",
     "lemma4_classify",
+    "pair_report",
     "parse_edge_list",
     "parse_graph6",
     "reports_from",

@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, complement, is_connected
 from .metric import DistanceMatrix, distance_matrix
@@ -234,19 +234,22 @@ class GraphEvaluation:
     delta1: int
     delta2: int
     comp: Graph
-    comp_connected: bool
 
     @functools.cached_property
     def ee_complement(self) -> EstradaValue:
         """Estrada index of the complement's adjacency spectrum, solved on first use."""
         return estrada_index(eig_sym(adjacency_matrix(self.comp)))
 
+    @functools.cached_property
+    def comp_evaluation(self) -> GraphEvaluation | None:
+        """The complement's own evaluation, solved on first use; None when it is disconnected."""
+        return evaluate(self.comp) if is_connected(self.comp) else None
+
 
 def evaluate(g: Graph) -> GraphEvaluation:
     """Solve g's distance spectrum once and gather the facts every row reads."""
     dm = distance_matrix(g)
     s = distance_spectrum(dm)
-    comp = complement(g)
     degs = sorted(g.degrees(), reverse=True)
     return GraphEvaluation(
         graph=g,
@@ -257,8 +260,7 @@ def evaluate(g: Graph) -> GraphEvaluation:
         r=degs[0] if degs[0] == degs[-1] else None,
         delta1=degs[0] if g.n >= 2 else 0,
         delta2=degs[1] if g.n >= 2 else 0,
-        comp=comp,
-        comp_connected=is_connected(comp),
+        comp=complement(g),
     )
 
 
@@ -290,29 +292,19 @@ def _ineq_report(
     )
 
 
-def _pair_estrada(a: EstradaValue, b: EstradaValue, sa: Spectrum, sb: Spectrum) -> EstradaValue:
-    return EstradaValue(
-        value=a.value + b.value,
-        log_value=log_sum_exp(sa.values + sb.values),
-        overflowed=a.overflowed or b.overflowed,
-    )
+# --- one evaluator per row, each a function of the graph's evaluation -------
 
-
-# --- one evaluator per row ---------------------------------------------------
-# Each takes (ev, include_t4, comp_ev) as reports_from passes them; only the
-# complement-pair row reads the last two.
-
-def _t1_lower_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _t1_lower_row(ev: GraphEvaluation) -> BoundReport:
     g = ev.graph
     return _ineq_report(T1_LOWER, _t1_lower(g.n, g.m), ev.dee, False, g.n >= 2)
 
 
-def _t1_upper_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _t1_upper_row(ev: GraphEvaluation) -> BoundReport:
     n = ev.graph.n
     return _ineq_report(T1_UPPER, _t1_upper(n, ev.rho), ev.dee, True, n >= 2)
 
 
-def _t2_lower_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _t2_lower_row(ev: GraphEvaluation) -> BoundReport:
     g = ev.graph
     if g.n < 2:
         return _skip(T2_LOWER, False, _NEEDS_TWO)
@@ -322,7 +314,7 @@ def _t2_lower_row(ev: GraphEvaluation, *_) -> BoundReport:
     )
 
 
-def _t3_lower_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _t3_lower_row(ev: GraphEvaluation) -> BoundReport:
     n = ev.graph.n
     if n < 2:
         return _skip(T3_LOWER, False, _NEEDS_TWO)
@@ -330,35 +322,35 @@ def _t3_lower_row(ev: GraphEvaluation, *_) -> BoundReport:
     return _ineq_report(T3_LOWER, bound, ev.dee, False, False)
 
 
-def _t4_ng_lower_row(
-    ev: GraphEvaluation, include_t4: bool, comp_ev: GraphEvaluation | None
-) -> BoundReport:
-    n = ev.graph.n
-    if n < 2:
-        return _skip(T4_NG_LOWER, True, _NEEDS_TWO)
-    if not ev.comp_connected:
-        return _skip(T4_NG_LOWER, True, "complement disconnected")
-    if not include_t4:
-        return _skip(T4_NG_LOWER, True, "checked at the complement's slot")
-    if comp_ev is None:
-        comp_s = distance_spectrum(distance_matrix(ev.comp))
-        comp_dee = estrada_index(comp_s)
-    else:
-        comp_s, comp_dee = comp_ev.spectrum, comp_ev.dee
+def pair_report(ev: GraphEvaluation, comp_ev: GraphEvaluation) -> BoundReport:
+    """The T4_ng_lower row of a graph and its connected complement, from their evaluations."""
+    pair = EstradaValue(
+        value=ev.dee.value + comp_ev.dee.value,
+        log_value=log_sum_exp(ev.spectrum.values + comp_ev.spectrum.values),
+        overflowed=ev.dee.overflowed or comp_ev.dee.overflowed,
+    )
     return _ineq_report(
-        T4_NG_LOWER, _t4_pair_lower(n), _pair_estrada(ev.dee, comp_dee, ev.spectrum, comp_s),
-        False, True, "observed is this graph's index plus its complement's",
+        T4_NG_LOWER, _t4_pair_lower(ev.graph.n), pair, False, True,
+        "observed is this graph's index plus its complement's",
     )
 
 
-def _t5_upper_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _t4_ng_lower_row(ev: GraphEvaluation) -> BoundReport:
+    if ev.graph.n < 2:
+        return _skip(T4_NG_LOWER, True, _NEEDS_TWO)
+    if ev.comp_evaluation is None:
+        return _skip(T4_NG_LOWER, True, "complement disconnected")
+    return pair_report(ev, ev.comp_evaluation)
+
+
+def _t5_upper_row(ev: GraphEvaluation) -> BoundReport:
     n = ev.graph.n
     if n < 2:
         return _skip(T5_UPPER, True, _NEEDS_TWO)
     return _ineq_report(T5_UPPER, _t5_upper(n, ev.rho), ev.dee, True, True)
 
 
-def _t6_identity_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _t6_identity_row(ev: GraphEvaluation) -> BoundReport:
     """DEE = e**(2n-r-2) - e**(n-r-2) + EE(complement)/e for r-regular, diameter <= 2."""
     if ev.r is None:
         return _skip(T6_IDENTITY, False, "not regular")
@@ -372,7 +364,7 @@ def _t6_identity_row(ev: GraphEvaluation, *_) -> BoundReport:
     return BoundReport(T6_IDENTITY, True, rhs, lhs, slack, ok, ok, False)
 
 
-def _l3_lambda1_lower_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _l3_lambda1_lower_row(ev: GraphEvaluation) -> BoundReport:
     n = ev.graph.n
     if n < 2:
         return _skip(L3_LAMBDA1_LOWER, False, _NEEDS_TWO)
@@ -387,7 +379,7 @@ def _l3_lambda1_lower_row(ev: GraphEvaluation, *_) -> BoundReport:
     )
 
 
-def _l4_class_row(ev: GraphEvaluation, *_) -> BoundReport:
+def _l4_class_row(ev: GraphEvaluation) -> BoundReport:
     if ev.graph.n < 2:
         return _skip(L4_CLASS, False, _NEEDS_TWO)
     cls = lemma4_classify(ev.graph, ev.spectrum, ev.comp)
@@ -417,7 +409,7 @@ class CatalogRow(NamedTuple):
     theorem_id: str
     verdict: str | None
     equality_tracked: bool
-    report: Callable[..., BoundReport]
+    report: Callable[[GraphEvaluation], BoundReport]
 
 
 # T2_lower fails at K3 and T4_ng_lower at the five-cycle pairs, so both are
@@ -436,19 +428,9 @@ CATALOG = (
 CATALOG_IDS = tuple(row.theorem_id for row in CATALOG)
 
 
-def reports_from(
-    ev: GraphEvaluation,
-    include_t4: bool = True,
-    comp_ev: GraphEvaluation | None = None,
-) -> tuple[BoundReport, ...]:
-    """The nine catalog rows for one evaluated graph, in CATALOG order.
-
-    include_t4=False marks the complement-pair row as deferred instead of
-    evaluating it.  comp_ev, the complement's own evaluation, lets the
-    pair row reuse that spectrum; without it the row solves the
-    complement here.
-    """
-    return tuple([row.report(ev, include_t4, comp_ev) for row in CATALOG])
+def reports_from(ev: GraphEvaluation) -> tuple[BoundReport, ...]:
+    """The nine catalog rows for one evaluated graph, in CATALOG order."""
+    return tuple([row.report(ev) for row in CATALOG])
 
 
 def bound_report(g: Graph) -> tuple[BoundReport, ...]:
@@ -480,20 +462,20 @@ def comparisons_from(ev: GraphEvaluation) -> tuple[bool, bool]:
     return _dominance(g.n, g.m, ev.rho, ev.delta1, ev.delta2)
 
 
-_T3, _T5, _L3 = (CATALOG_IDS.index(t) for t in (T3_LOWER, T5_UPPER, L3_LAMBDA1_LOWER))
-
-
 def cross_checks(
-    ev: GraphEvaluation, reports: tuple[BoundReport, ...]
+    ev: GraphEvaluation, reports: Iterable[BoundReport]
 ) -> tuple[list[tuple[str, float]], float]:
     """The checks that relate rows to each other, on a graph with n >= 2.
 
-    Returns the failed checks as (check id, slack) and the T3_lower slack,
-    by which the sweep ranks the graphs of each order.  L3's structural
-    equality flag must match numeric equality both ways, and the two
-    dominance claims of comparisons_from must hold.
+    reports holds at least the T3_lower, T5_upper and L3_lambda1_lower
+    rows, looked up by id.  Returns the failed checks as (check id,
+    slack) and the T3_lower slack, by which the sweep ranks the graphs of
+    each order.  L3's structural equality flag must match numeric
+    equality both ways, and the two dominance claims of comparisons_from
+    must hold.
     """
-    r3, r5, rl3 = reports[_T3], reports[_T5], reports[_L3]
+    by_id = {r.theorem_id: r for r in reports}
+    r3, r5, rl3 = by_id[T3_LOWER], by_id[T5_UPPER], by_id[L3_LAMBDA1_LOWER]
     failed = []
     if bool(rl3.equality) != (abs(rl3.slack) <= SIGNATURE_ABS_TOL):
         failed.append((L3_EQUALITY_IFF, rl3.slack))

@@ -50,7 +50,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         try:
             with open(args.edges, encoding="ascii") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"cannot read {args.edges}: {exc}") from exc
         g = parse_edge_list(text)
     if not is_connected(g):

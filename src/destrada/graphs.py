@@ -379,12 +379,8 @@ def _canonical(adj: Sequence[int]) -> tuple[int, int]:
     twins is ordered at once, standing for its k! equal leaves.
     """
     n = len(adj)
-    by_degree: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        d = a.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
     best, aut = -1, 0
-    stack = [(_refine(adj, [by_degree[d] for d in sorted(by_degree)]), 1)]
+    stack = [(_refine(adj, [(1 << n) - 1] if n else []), 1)]
     while stack:
         cells, weight = stack.pop()
         i = next((i for i, c in enumerate(cells) if c & (c - 1)), -1)

@@ -56,20 +56,19 @@ def build_record(g: Graph) -> ReportRecord:
     )
 
 
-def _jstr(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in '"\\':
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _jnum(x: float | int | None) -> str:
+def _json(x: str | bool | int | float | None) -> str:
+    """One JSON value: a non-finite float is null, like None."""
+    if isinstance(x, str):
+        out = ['"']
+        for ch in x:
+            if ch in '"\\':
+                out.append("\\" + ch)
+            elif ord(ch) < 0x20:
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        out.append('"')
+        return "".join(out)
     if x is None:
         return "null"
     if isinstance(x, bool):
@@ -81,68 +80,52 @@ def _jnum(x: float | int | None) -> str:
     return fmt15(x)
 
 
-def _jbool(b: bool | None) -> str:
-    if b is None:
-        return "null"
-    return "true" if b else "false"
+def _cell(x: str | bool | int | float | None) -> str:
+    """One CSV cell: None is empty, a float keeps nan and inf."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    return fmt15(x)
 
 
 def _bound_json(r: BoundReport) -> str:
-    parts = [
-        f'"theorem_id": {_jstr(r.theorem_id)}',
-        f'"applicable": {_jbool(r.applicable)}',
-        f'"bound_value": {_jnum(r.bound_value)}',
-        f'"observed": {_jnum(r.observed)}',
-        f'"slack": {_jnum(r.slack)}',
-        f'"holds": {_jbool(r.holds)}',
-        f'"equality": {_jbool(r.equality)}',
-        f'"strict_required": {_jbool(r.strict_required)}',
-        f'"log_domain": {_jbool(r.log_domain)}',
-        f'"note": {_jstr(r.note)}',
-    ]
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(f'"{f}": {_json(v)}' for f, v in zip(BoundReport._fields, r)) + "}"
 
 
 def record_to_json(rec: ReportRecord) -> str:
     spec = "[" + ", ".join(fmt15(v) for v in rec.spectrum.values) + "]"
-    if rec.comparisons is None:
-        cmp_s = '{"t3_beats_t1": null, "t5_beats_t1": null}'
-    else:
-        cmp_s = (
-            f'{{"t3_beats_t1": {_jbool(rec.comparisons[0])}, '
-            f'"t5_beats_t1": {_jbool(rec.comparisons[1])}}}'
-        )
+    t3_beats, t5_beats = rec.comparisons or (None, None)
+    cmp_s = f'{{"t3_beats_t1": {_json(t3_beats)}, "t5_beats_t1": {_json(t5_beats)}}}'
     bounds = ",\n    ".join(_bound_json(b) for b in rec.bounds)
     return (
         "{\n"
-        f'  "graph_id": {_jstr(rec.graph_id)},\n'
+        f'  "graph_id": {_json(rec.graph_id)},\n'
         f'  "n": {rec.n},\n'
         f'  "m": {rec.m},\n'
         f'  "rho": {rec.rho},\n'
         f'  "delta1": {rec.delta1},\n'
         f'  "delta2": {rec.delta2},\n'
         f'  "spectrum": {spec},\n'
-        f'  "dee": {_jnum(rec.dee)},\n'
-        f'  "dee_log": {_jnum(rec.dee_log)},\n'
-        f'  "dee_log_domain": {_jbool(rec.dee_log_domain)},\n'
-        f'  "ee_complement": {_jnum(rec.ee_complement)},\n'
+        f'  "dee": {_json(rec.dee)},\n'
+        f'  "dee_log": {_json(rec.dee_log)},\n'
+        f'  "dee_log_domain": {_json(rec.dee_log_domain)},\n'
+        f'  "ee_complement": {_json(rec.ee_complement)},\n'
         f'  "comparisons": {cmp_s},\n'
         f'  "bounds": [\n    {bounds}\n  ]\n'
         "}"
     )
 
 
-def _cell_num(x: float | None) -> str:
-    return "" if x is None else fmt15(x)
-
-
-def _cell_bool(b: bool | None) -> str:
-    if b is None:
-        return ""
-    return "true" if b else "false"
-
-
-_BOUND_COLS = ("bound", "observed", "slack", "holds", "equality", "log_domain", "note")
+# the bound row fields a record's CSV row repeats per catalog row
+_RECORD_BOUND_FIELDS = [
+    i for i, f in enumerate(BoundReport._fields)
+    if f not in ("theorem_id", "applicable", "strict_required")
+]
 
 RECORD_CSV_HEADER = ",".join(
     [
@@ -150,28 +133,21 @@ RECORD_CSV_HEADER = ",".join(
         "dee", "dee_log", "dee_log_domain", "ee_complement",
         "t3_beats_t1", "t5_beats_t1",
     ]
-    + [f"{tid}_{col}" for tid in CATALOG_IDS for col in _BOUND_COLS]
+    + [
+        f"{tid}_{BoundReport._fields[i].removesuffix('_value')}"
+        for tid in CATALOG_IDS for i in _RECORD_BOUND_FIELDS
+    ]
 )
 
 
 def record_to_csv_row(rec: ReportRecord) -> str:
     cells = [
-        rec.graph_id, str(rec.n), str(rec.m), str(rec.rho),
-        str(rec.delta1), str(rec.delta2),
-        fmt15(rec.dee), fmt15(rec.dee_log), _cell_bool(rec.dee_log_domain),
-        fmt15(rec.ee_complement),
-        _cell_bool(None if rec.comparisons is None else rec.comparisons[0]),
-        _cell_bool(None if rec.comparisons is None else rec.comparisons[1]),
+        rec.graph_id, rec.n, rec.m, rec.rho, rec.delta1, rec.delta2,
+        rec.dee, rec.dee_log, rec.dee_log_domain, rec.ee_complement,
+        *(rec.comparisons or (None, None)),
     ]
-    by = {r.theorem_id: r for r in rec.bounds}
-    for tid in CATALOG_IDS:
-        r = by[tid]
-        cells.extend([
-            _cell_num(r.bound_value), _cell_num(r.observed), _cell_num(r.slack),
-            _cell_bool(r.holds), _cell_bool(r.equality), _cell_bool(r.log_domain),
-            r.note,
-        ])
-    return ",".join(cells)
+    cells += [r[i] for r in rec.bounds for i in _RECORD_BOUND_FIELDS]
+    return ",".join(map(_cell, cells))
 
 
 def records_to_csv(recs: list[ReportRecord]) -> str:
@@ -182,43 +158,32 @@ def bounds_to_json(reports: tuple[BoundReport, ...]) -> str:
     return "[\n  " + ",\n  ".join(_bound_json(r) for r in reports) + "\n]"
 
 
-BOUNDS_CSV_HEADER = ",".join(
-    ("theorem_id", "applicable", "bound_value", "observed", "slack",
-     "holds", "equality", "strict_required", "log_domain", "note")
-)
+BOUNDS_CSV_HEADER = ",".join(BoundReport._fields)
 
 
 def bounds_to_csv(reports: tuple[BoundReport, ...]) -> str:
-    rows = [BOUNDS_CSV_HEADER]
-    for r in reports:
-        rows.append(",".join([
-            r.theorem_id, _cell_bool(r.applicable), _cell_num(r.bound_value),
-            _cell_num(r.observed), _cell_num(r.slack), _cell_bool(r.holds),
-            _cell_bool(r.equality), _cell_bool(r.strict_required),
-            _cell_bool(r.log_domain), r.note,
-        ]))
-    return "\n".join(rows) + "\n"
+    return "\n".join([BOUNDS_CSV_HEADER] + [",".join(map(_cell, r)) for r in reports]) + "\n"
 
 
 def summary_to_json(s: VerificationSummary) -> str:
     counts = ", ".join(f"[{n}, {c}]" for n, c in s.counts_by_n)
     viols = ", ".join(
-        f"[{_jstr(g)}, {_jstr(c)}, {_jnum(sl)}]" for g, c, sl in s.violations
+        f"[{_json(g)}, {_json(c)}, {_json(sl)}]" for g, c, sl in s.violations
     )
     finds = ", ".join(
-        f"[{_jstr(g)}, {_jstr(c)}, {_jnum(sl)}]" for g, c, sl in s.findings
+        f"[{_json(g)}, {_json(c)}, {_json(sl)}]" for g, c, sl in s.findings
     )
-    hits = ", ".join(f"[{_jstr(g)}, {_jstr(t)}]" for g, t in s.equality_hits)
+    hits = ", ".join(f"[{_json(g)}, {_json(t)}]" for g, t in s.equality_hits)
     argmax = ", ".join(
-        f"[{n}, {_jstr(g)}, {_jnum(sl)}]" for n, g, sl in s.t3_argmax
+        f"[{n}, {_json(g)}, {_json(sl)}]" for n, g, sl in s.t3_argmax
     )
     return (
         "{\n"
-        f'  "population": {_jstr(s.population)},\n'
+        f'  "population": {_json(s.population)},\n'
         f'  "max_n": {s.max_n},\n'
         f'  "graphs_checked": {s.graphs_checked},\n'
         f'  "counts_by_n": [{counts}],\n'
-        f'  "passed": {_jbool(s.passed)},\n'
+        f'  "passed": {_json(s.passed)},\n'
         f'  "violations": [{viols}],\n'
         f'  "findings": [{finds}],\n'
         f'  "equality_hits": [{hits}],\n'
@@ -232,7 +197,7 @@ def summary_to_csv(s: VerificationSummary) -> str:
     rows = ["kind,field1,field2,field3"]
     rows.append(f"population,{s.population},,")
     rows.append(f"graphs_checked,{s.graphs_checked},,")
-    rows.append(f"passed,{_cell_bool(s.passed)},,")
+    rows.append(f"passed,{_cell(s.passed)},,")
     for n, c in s.counts_by_n:
         rows.append(f"count,{n},{c},")
     for g, c, sl in s.violations:

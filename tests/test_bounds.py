@@ -27,6 +27,7 @@ from destrada.bounds import (
     is_complete,
     is_complete_multipartite,
     lemma4_classify,
+    pair_report,
     reports_from,
 )
 from destrada.graphs import Graph, GraphFamily, complement, generate
@@ -361,11 +362,13 @@ def test_pair_bound_fails_at_the_five_cycle(cycle):
     assert not row.equality
 
 
-def test_pair_bound_deferral_marker(cycle):
-    reps = reports_from(evaluate(cycle(5)), include_t4=False)
-    row = by_id(reps)["T4_ng_lower"]
-    assert not row.applicable
-    assert row.note == "checked at the complement's slot"
+def test_catalog_pair_row_is_the_pair_report_of_both_evaluations(cycle, path):
+    # the catalog row solves the complement on its own evaluation; the
+    # 62-vertex path's pair sum is in log domain
+    for g in (cycle(5), path(62)):
+        row = by_id(bound_report(g))["T4_ng_lower"]
+        assert row == pair_report(evaluate(g), evaluate(complement(g)))
+    assert row.log_domain
 
 
 def test_mean_degree_row_is_descriptive_and_fails_at_k3(k):

@@ -231,6 +231,14 @@ def test_missing_edge_file_exit_code(capsys):
     assert "cannot read" in err
 
 
+def test_non_ascii_edge_file_exit_code(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2 1\n0 1\xff\n")
+    code, out, err = run(capsys, "compute", "--edges", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "cannot read" in err
+
+
 def test_oversized_edge_list_exit_code(capsys, tmp_path):
     # ids are short-form graph6, so vertex counts beyond 62 are rejected
     n = 70

@@ -22,6 +22,13 @@ CASES = [
     (["bounds", "--g6", "Dhc", "--format", "csv"], "bounds_c5.csv"),
     (["bounds", "--g6", "IheA@GUAo", "--format", "csv"], "bounds_petersen.csv"),
     (["sweep", "--family", "cycle", "--n", "3..8"], "sweep_cycles.csv"),
+    (["bounds", "--g6", "Dhc", "--format", "json"], "bounds_c5.json"),
+    (["compute", "--g6", "Dhc", "--format", "csv"], "compute_c5.csv"),
+    # n = 1: null comparisons and the rows that need two vertices skipped
+    (["compute", "--g6", "@"], "compute_k1.json"),
+    # log-domain rows, with null (JSON) and inf (CSV) cells
+    (["sweep", "--family", "path", "--n", "60..62", "--format", "json"], "sweep_paths_60_62.json"),
+    (["sweep", "--family", "path", "--n", "60..62"], "sweep_paths_60_62.csv"),
     (["verify", "--max-n", "4", "--format", "json"], "verify_n4.json"),
 ]
 

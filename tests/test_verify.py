@@ -13,7 +13,7 @@ import pytest
 import destrada.bounds as bounds_mod
 import destrada.spectra as spectra_mod
 import destrada.verify as verify_mod
-from destrada.bounds import SIGNATURE_ABS_TOL, evaluate
+from destrada.bounds import SIGNATURE_ABS_TOL, evaluate, pair_report
 from destrada.cli import EXIT_VIOLATION, main
 from destrada.graphs import (
     Graph,
@@ -443,7 +443,6 @@ def test_pair_row_is_symmetric_in_its_two_graphs():
     # to six vertices, on the two canonical labelings the sweep solves, and
     # the 62-vertex path and its complement, whose pair sum is in log
     # domain, give the same report both ways round
-    row = verify_mod._T4_ROW
     classes = connected_classes(6)
     pairs = [
         (Graph.from_pair_mask(n, rep), Graph.from_pair_mask(n, comp_rep))
@@ -455,8 +454,8 @@ def test_pair_row_is_symmetric_in_its_two_graphs():
     assert len(pairs) == 40
     for g, comp in [*pairs, (p62, complement(p62))]:
         ev, comp_ev = evaluate(g), evaluate(comp)
-        assert row.report(ev, True, comp_ev) == row.report(comp_ev, True, ev)
-    assert row.report(ev, True, comp_ev).log_domain
+        assert pair_report(ev, comp_ev) == pair_report(comp_ev, ev)
+    assert pair_report(ev, comp_ev).log_domain
 
 
 def test_pair_row_hits_land_on_the_owner_alone():
@@ -484,7 +483,7 @@ def test_pair_row_hits_land_on_the_owner_alone():
     assert ids(hits, x) == ids(hits, FULL5 ^ x) == ["T6_identity", "L3_lambda1_lower"]
     [t4] = [e for e in findings if e[3] == "T4_ng_lower"]
     ev = evaluate(Graph.from_pair_mask(5, rep))
-    assert t4[4] == verify_mod._T4_ROW.report(ev, True, ev).slack  # the class's own pair
+    assert t4[4] == pair_report(ev, ev).slack  # the class's own pair
 
 
 def test_t3_argmax_sanity_flags_a_complete_graph_on_top(monkeypatch):
