@@ -200,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out")
     p.add_argument("--threads", type=int, default=1,
-                   help=f"worker processes, 1..{MAX_THREADS} (default: 1)")
+                   help=f"processes sharing the sweep, this one included, "
+                        f"1..{MAX_THREADS} (default: 1)")
     p.set_defaults(func=_cmd_verify)
     return parser
 

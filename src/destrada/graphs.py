@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .numeric import SplitMix64
 
@@ -426,33 +426,43 @@ def _is_parent_vertex(adj: Sequence[int], v: int) -> bool:
     )
 
 
+def grow_classes(n: int, parents: Iterable[int]) -> dict[int, int]:
+    """{canonical mask: |Aut|} of the connected order-n classes grown from parents.
+
+    parents are canonical masks of order n - 1.  The new vertex v joins
+    each nonempty subset of a parent's vertices; a candidate is kept only
+    when v has the least degree among its non-cut vertices (the parent
+    rule), and canonical forms merge the remaining duplicates.  Grown
+    from every order-(n - 1) class, the keys are every order-n class;
+    grown from a share of them, the union over the shares is.
+    """
+    v = n - 1  # the new vertex
+    found: dict[int, int] = {}
+    for mask in parents:
+        parent = _mask_adjacency(v, mask)
+        for nbrs in range(1, 1 << v):
+            adj = [a | (nbrs >> u & 1) << v for u, a in enumerate(parent)]
+            adj.append(nbrs)
+            if _is_parent_vertex(adj, v):
+                canon, aut = _canonical(adj)
+                found[canon] = aut
+    return found
+
+
 def connected_classes(max_n: int) -> dict[int, list[tuple[int, int]]]:
     """Connected isomorphism classes of each order 1..max_n: ascending (canonical mask, |Aut|).
 
-    Order n grows from order n - 1 by joining a new vertex v to each
-    nonempty subset of a representative's vertices.  A candidate is kept
-    only when v has the least degree among its non-cut vertices (the
-    parent rule); canonical forms merge the remaining duplicates
-    (isomorph-free generation after Read 1978 and McKay 1998).  No class
-    is lost: every connected graph has non-cut vertices, and deleting one
-    of least degree leaves a connected graph of order n - 1, whose
-    representative regrows it.  A class has n!/|Aut| labelings.
+    Each order grows from the one below by grow_classes (isomorph-free
+    generation after Read 1978 and McKay 1998).  No class is lost: every
+    connected graph has non-cut vertices, and deleting one of least
+    degree leaves a connected graph of order n - 1, whose representative
+    regrows it.  A class has n!/|Aut| labelings.
     """
     if not 1 <= max_n <= MAX_ENUM_N:
         raise PreconditionError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")
     table = {1: [(0, 1)]}
     for n in range(2, max_n + 1):
-        v = n - 1  # the new vertex
-        found: dict[int, int] = {}
-        for mask, _ in table[n - 1]:
-            parent = _mask_adjacency(v, mask)
-            for nbrs in range(1, 1 << v):
-                adj = [a | (nbrs >> u & 1) << v for u, a in enumerate(parent)]
-                adj.append(nbrs)
-                if _is_parent_vertex(adj, v):
-                    canon, aut = _canonical(adj)
-                    found[canon] = aut
-        table[n] = sorted(found.items())
+        table[n] = sorted(grow_classes(n, (mask for mask, _ in table[n - 1])).items())
     return table
 
 

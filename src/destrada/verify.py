@@ -12,15 +12,18 @@ still names labeled graphs, so each labeling of a class that records
 anything gets its class's entries under its own graph6 id, with no solve
 of its own.  When a graph and its complement are both connected, the
 smaller of their two masks owns the pair and also gets the pair row.
-Work can be sharded across processes; the merge re-sorts by (n, mask)
-so the summary is identical for any shard count.
+
+`threads` processes share a sweep, this one included: each grows the
+top order from its stride of the classes one order below, this process
+merges the grown classes and hands the table back, and each then solves
+the class pairs owned by its stride of every order's classes and expands
+their labelings.  The merge re-sorts by (n, mask), so the summary is
+identical for any number of processes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 from .bounds import (
@@ -43,6 +46,7 @@ from .graphs import (
     PreconditionError,
     canonical_form,
     connected_classes,
+    grow_classes,
     is_connected,
     labelings,
     to_graph6,
@@ -219,46 +223,72 @@ def _labeled(n: int, x: int, side, owner) -> tuple[list, list, list]:
     )
 
 
-def _run_shard(args):
-    """One (n, pairs) shard: _check_pair on each (rep, comp_rep) pair."""
-    n, pairs = args
-    return [_check_pair(n, rep, comp_rep) for rep, comp_rep in pairs]
+def _owned_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, int | None]]:
+    """(representative, complement representative) of each class pair owned by one of classes.
 
-
-def _run_shards(pool, threads: int, jobs) -> list:
-    """_check_pair's results on every pair of each (n, pairs) job, concatenated.
-
-    Each job's pairs are dealt round-robin to at most `threads` shards,
-    which run in the pool, or here when pool is None.
+    classes are (canonical mask, |Aut|) rows of order n.  A class whose
+    complement is disconnected owns itself alone, with None in the
+    complement's place.  Otherwise the class with fewer edges owns the
+    pair, and on an edge tie the one with the smaller canonical mask; a
+    self-complementary class owns its pair with itself.  Only owned pairs
+    and edge ties canonicalize the complement.  This is the one place that
+    tests a complement's connectivity.
     """
-    shards = [(n, pairs[k::threads]) for n, pairs in jobs for k in range(min(threads, len(pairs)))]
-    if pool is None:
-        outs = [_run_shard(s) for s in shards]
-    else:
-        outs = pool.map(_run_shard, shards, chunksize=1)
-    return [(n, res) for (n, _), out in zip(shards, outs) for res in out]
-
-
-def _class_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, int | None]]:
-    """(representative, complement representative) for each class and complement-class pair.
-
-    Both are canonical masks, the smaller one first; the complement
-    representative is None when the complement is disconnected, and the
-    representative itself when the class is self-complementary.  This is
-    the one place that tests a complement's connectivity.
-    """
-    full = (1 << (n * (n - 1) // 2)) - 1
-    taken = set()
+    npairs = n * (n - 1) // 2
+    full = (1 << npairs) - 1
     pairs = []
     for mask, _ in classes:
-        if mask in taken:
-            continue
-        comp_rep = None
-        if is_connected(Graph.from_pair_mask(n, full ^ mask)):
+        if not is_connected(Graph.from_pair_mask(n, full ^ mask)):
+            pairs.append((mask, None))
+        elif 2 * mask.bit_count() <= npairs:
             comp_rep = canonical_form(n, full ^ mask)[0]
-            taken.add(comp_rep)
-        pairs.append((mask, comp_rep))
+            if 2 * mask.bit_count() < npairs or mask <= comp_rep:
+                pairs.append((mask, comp_rep))
     return pairs
+
+
+def _run_shard(table: dict[int, list[tuple[int, int]]], k: int, shares: int):
+    """Share k of `shares`: (entries, ranked) of the pairs owned by its classes.
+
+    table maps each order to its ascending (canonical mask, |Aut|) rows,
+    and share k holds rows k, k + shares, ... of every order.  entries are
+    _labeled's (violations, findings, hits) over every labeling of each
+    class of those pairs; ranked holds each such class's (n, canonical
+    mask, T3 slack).
+    """
+    entries = ([], [], [])
+    ranked = []
+    for n, classes in table.items():
+        for rep, comp_rep in _owned_pairs(n, classes[k::shares]):
+            for cls, side, owner in _check_pair(n, rep, comp_rep):
+                ranked.append((n, cls, side[3]))
+                if not any(side[:3] + owner[:3]):
+                    continue
+                for x in labelings(n, cls):
+                    for acc, new in zip(entries, _labeled(n, x, side, owner)):
+                        acc.extend(new)
+    return entries, ranked
+
+
+def _worker(conn, max_n: int, parents: list[int], table, k: int, shares: int) -> None:
+    """Share k of a sweep in a process of its own, talking to the sweep's process over conn.
+
+    It sends the top-order classes grown from parents, receives the
+    merged top-order rows, and sends its _run_shard result.
+    """
+    with conn:
+        conn.send(grow_classes(max_n, parents))
+        table[max_n] = conn.recv()
+        conn.send(_run_shard(table, k, shares))
+
+
+def _receive(proc, conn):
+    """The next object proc sends over conn; RuntimeError when proc exits first."""
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"{proc.name} exited with code {proc.exitcode}") from None
 
 
 def _summarize(max_n: int, counts: dict[int, int], entries, ranked) -> VerificationSummary:
@@ -305,32 +335,56 @@ def complete_graph_id(n: int) -> str:
 
 
 def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
-    """Sweep all connected labeled graphs with 2 <= n <= max_n, class by class."""
+    """Sweep all connected labeled graphs with 2 <= n <= max_n, class by class.
+
+    `threads` shares run the sweep: share 0 here, each other one in a
+    forked process, and never more shares than classes of order max_n - 1.
+    """
     if not 2 <= max_n <= MAX_ENUM_N:
         raise PreconditionError(f"max_n must be in [2, {MAX_ENUM_N}]")
     if not 1 <= threads <= MAX_THREADS:
         raise PreconditionError(f"threads must be in [1, {MAX_THREADS}]")
 
-    classes = connected_classes(max_n)
-    orders = range(2, max_n + 1)
-    counts = {n: sum(math.factorial(n) // aut for _, aut in classes[n]) for n in orders}
-    pairs = {n: _class_pairs(n, classes[n]) for n in orders}
+    lower = connected_classes(max_n - 1)
+    parents = [mask for mask, _ in lower[max_n - 1]]
+    table = {n: lower[n] for n in range(2, max_n)}
+    shares = min(threads, len(parents))
+    workers = []
+    try:
+        if shares > 1:
+            import multiprocessing  # a one-share sweep never pays for the import
 
-    if threads > 1:
-        pool_cm = multiprocessing.get_context("fork").Pool(threads)
-    else:
-        pool_cm = contextlib.nullcontext()  # None: shards run in this process
-    with pool_cm as pool:
-        facts = _run_shards(pool, threads, [(n, pairs[n]) for n in orders])
+            context = multiprocessing.get_context("fork")
+            for k in range(1, shares):
+                conn, child = context.Pipe()
+                proc = context.Process(
+                    target=_worker, name=f"verify-share-{k}",
+                    args=(child, max_n, parents[k::shares], table, k, shares),
+                )
+                workers.append((proc, conn))
+                proc.start()
+                child.close()
+        grown = grow_classes(max_n, parents[::shares])
+        for proc, conn in workers:
+            grown.update(_receive(proc, conn))
+        table[max_n] = sorted(grown.items())
+        for _, conn in workers:
+            conn.send(table[max_n])
+        outs = [_run_shard(table, 0, shares)] + [_receive(*w) for w in workers]
+        for proc, _ in workers:
+            proc.join()
+    finally:
+        for proc, conn in workers:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            conn.close()
 
+    counts = {n: sum(math.factorial(n) // aut for _, aut in table[n]) for n in table}
     entries = ([], [], [])
-    ranked = []  # each class's T3 slack, under its canonical mask
-    for n, checked in facts:
-        for cls, side, owner in checked:
-            ranked.append((n, cls, side[3]))
-            if not any(side[:3] + owner[:3]):
-                continue
-            for x in labelings(n, cls):
-                for acc, new in zip(entries, _labeled(n, x, side, owner)):
-                    acc.extend(new)
+    ranked = []
+    for shard_entries, shard_ranked in outs:
+        for acc, new in zip(entries, shard_entries):
+            acc.extend(new)
+        ranked += shard_ranked
     return _summarize(max_n, counts, entries, ranked)

@@ -4,6 +4,10 @@ merging, dedup, and summary contents."""
 import json
 import math
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +27,7 @@ from destrada.graphs import (
     complement,
     connected_classes,
     generate,
+    is_connected,
     labelings,
     parse_graph6,
     to_graph6,
@@ -111,10 +116,11 @@ def test_descriptive_failures_never_block_passing(pop5):
 
 
 def test_sharded_run_matches_serial(pop5):
-    # the class pairs of each order are dealt round-robin to the shards,
-    # and the merge restores (n, mask) order
+    # the classes of each order are dealt round-robin to the shares, and
+    # the merge restores (n, mask) order; no process outlives the sweep
     for threads in (2, 3):
         assert verify_population(5, threads=threads) == pop5
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -122,9 +128,103 @@ def test_other_start_methods_print_the_serial_bytes(method, monkeypatch, pop5):
     # the sweep asks for forked workers; workers that import destrada
     # afresh, under spawn or forkserver, print the same bytes too
     context = multiprocessing.get_context(method)
-    shim = SimpleNamespace(get_context=lambda _: context)
-    monkeypatch.setattr(verify_mod, "multiprocessing", shim)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda _: context)
     assert summary_to_json(verify_population(5, threads=2)) == summary_to_json(pop5)
+
+
+def test_shares_partition_the_solves_and_the_class_pairs(monkeypatch):
+    # run one after another in this process, the shares of the n <= 7
+    # sweep together solve each of the 995 classes once and own each
+    # class pair once, for every share count: each class stands in one
+    # owned pair, beside its canonical complement when that is connected
+    classes = connected_classes(7)
+    table = {n: classes[n] for n in range(2, 8)}
+    every_class = sorted((n, m) for n in table for m, _ in table[n])
+    solved, owned = [], []
+    real_evaluate, real_check_pair = verify_mod._evaluate, verify_mod._check_pair
+
+    def spying_evaluate(g):
+        solved.append((g.n, g.pair_mask()))
+        return real_evaluate(g)
+
+    def spying_check_pair(n, rep, comp_rep):
+        owned.append((n, rep, comp_rep))
+        return real_check_pair(n, rep, comp_rep)
+
+    monkeypatch.setattr(verify_mod, "_evaluate", spying_evaluate)
+    monkeypatch.setattr(verify_mod, "_check_pair", spying_check_pair)
+    serial_pairs = None
+    for shares in (1, 2, 3, 4):
+        solved.clear()
+        owned.clear()
+        for k in range(shares):
+            verify_mod._run_shard(table, k, shares)
+        assert sorted(solved) == every_class  # 995, each once
+        assert len(solved) == 995
+        assert sorted((n, m) for n, rep, comp in owned for m in {rep, comp} - {None}) == every_class
+        for n, rep, comp_rep in owned:
+            full = (1 << (n * (n - 1) // 2)) - 1
+            if is_connected(Graph.from_pair_mask(n, full ^ rep)):
+                assert comp_rep == canonical_form(n, full ^ rep)[0]
+            else:
+                assert comp_rep is None
+        serial_pairs = serial_pairs or sorted(owned, key=repr)
+        assert sorted(owned, key=repr) == serial_pairs
+
+
+def test_no_more_shares_than_classes_below_the_top_order(capsys, monkeypatch):
+    # n = 2 has one class, so --max-n 3 is one share whatever --threads
+    # asks for: it prints the serial bytes and requests no process
+    serial = main(["verify", "--max-n", "3"]), capsys.readouterr().out
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was requested")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_process)
+    assert (main(["verify", "--max-n", "3", "--threads", "64"]), capsys.readouterr().out) == serial
+
+
+def test_a_one_share_sweep_imports_no_multiprocessing():
+    # the import costs every serial sweep and every `compute` process
+    # about 10 ms, so only a sweep that starts processes makes it
+    code = (
+        "import os, sys; from destrada.cli import main; "
+        "codes = [main(['verify', '--max-n', '5', '--out', os.devnull]), "
+        "main(['verify', '--max-n', '3', '--threads', '64', '--out', os.devnull])]; "
+        "print(codes, 'multiprocessing' in sys.modules)"
+    )
+    src = Path(verify_mod.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split("\n")[0] == "[0, 0] False"
+
+
+def test_a_failed_share_raises_and_leaves_no_process(monkeypatch):
+    # share 1 of 3 raises from _check_pair in its forked process, which
+    # inherits the patched function: the sweep raises instead of waiting
+    # for it, and every process it started is gone
+    [(victim, _), *_] = verify_mod._owned_pairs(5, connected_classes(5)[5][1::3])
+    real = verify_mod._check_pair
+
+    def failing(n, rep, comp_rep):
+        if (n, rep) == (5, victim):
+            raise ValueError("forced")
+        return real(n, rep, comp_rep)
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep did not return")
+
+    monkeypatch.setattr(verify_mod, "_check_pair", failing)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="verify-share-1 exited with code 1"):
+            verify_population(5, threads=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("max_n", [2, 3, 4, 5, 6])
@@ -337,7 +437,7 @@ def test_failed_complement_solve_fails_both_graphs_of_the_pair(monkeypatch, pop5
     # labelings record EIG_convergence and nothing else
     bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
     rep, _ = canonical_form(5, bull.pair_mask())
-    assert (rep, rep) in verify_mod._class_pairs(5, connected_classes(5)[5])
+    assert (rep, rep) in verify_mod._owned_pairs(5, connected_classes(5)[5])
     _fail_solves_of(monkeypatch, [rep])
     summary = verify_population(5)
     assert not summary.passed
@@ -356,7 +456,7 @@ def test_failed_representative_solve_fails_its_class_and_every_pair_owner(monkey
     # labelings that do not own their pair record nothing
     rep, _ = canonical_form(5, PATH5.pair_mask())
     house_rep, _ = canonical_form(5, FULL5 ^ rep)
-    assert (rep, house_rep) in verify_mod._class_pairs(5, connected_classes(5)[5])
+    assert (rep, house_rep) in verify_mod._owned_pairs(5, connected_classes(5)[5])
     _fail_solves_of(monkeypatch, [house_rep])
     summary = verify_population(5)
     owners = {x for x in labelings(5, rep) if x < FULL5 ^ x}
@@ -447,7 +547,7 @@ def test_pair_row_is_symmetric_in_its_two_graphs():
     pairs = [
         (Graph.from_pair_mask(n, rep), Graph.from_pair_mask(n, comp_rep))
         for n in range(2, 7)
-        for rep, comp_rep in verify_mod._class_pairs(n, classes[n])
+        for rep, comp_rep in verify_mod._owned_pairs(n, classes[n])
         if comp_rep is not None
     ]
     p62 = generate(GraphFamily("path", 62))
