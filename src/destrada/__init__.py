@@ -37,6 +37,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
     to_graph6,
+    twin_classes,
 )
 from .metric import DistanceMatrix, distance_matrix, sum_sq_distances
 from .records import ReportRecord, build_record
@@ -95,5 +96,6 @@ __all__ = [
     "reports_from",
     "sum_sq_distances",
     "to_graph6",
+    "twin_classes",
     "verify_population",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
-from .graphs import Graph, complement, is_connected
+from .graphs import Graph, complement, is_connected, twin_classes
 from .metric import DistanceMatrix, distance_matrix
 from .numeric import EXP_OVERFLOW, log_sum_exp, safe_exp
 from .spectra import Spectrum, adjacency_matrix, distance_spectrum, eig_sym
@@ -223,6 +223,8 @@ class GraphEvaluation:
     """Shared per-graph work: distance spectrum, DEE, degree and complement facts.
 
     delta1 >= delta2 are the two largest degrees (both 0 when n = 1).
+    twins are the twin classes every solve of the graph's matrices, and
+    of its complement's, deflates.
     """
 
     graph: Graph
@@ -234,11 +236,12 @@ class GraphEvaluation:
     delta1: int
     delta2: int
     comp: Graph
+    twins: tuple[int, ...]
 
     @functools.cached_property
     def ee_complement(self) -> EstradaValue:
         """Estrada index of the complement's adjacency spectrum, solved on first use."""
-        return estrada_index(eig_sym(adjacency_matrix(self.comp)))
+        return estrada_index(eig_sym(adjacency_matrix(self.comp), self.twins))
 
     @functools.cached_property
     def comp_evaluation(self) -> GraphEvaluation | None:
@@ -249,7 +252,8 @@ class GraphEvaluation:
 def evaluate(g: Graph) -> GraphEvaluation:
     """Solve g's distance spectrum once and gather the facts every row reads."""
     dm = distance_matrix(g)
-    s = distance_spectrum(dm)
+    twins = twin_classes(g)
+    s = distance_spectrum(dm, twins)
     degs = sorted(g.degrees(), reverse=True)
     return GraphEvaluation(
         graph=g,
@@ -261,6 +265,7 @@ def evaluate(g: Graph) -> GraphEvaluation:
         delta1=degs[0] if g.n >= 2 else 0,
         delta2=degs[1] if g.n >= 2 else 0,
         comp=complement(g),
+        twins=twins,
     )
 
 

@@ -1,8 +1,8 @@
 """Simple undirected graphs stored as per-vertex neighbor bitmasks.
 
 Parsing (edge list, graph6), family generators, complement, connectivity,
-the exhaustive enumeration of connected labeled pair masks, and the
-connected isomorphism classes with their labelings.  Edge bit
+twin classes, the exhaustive enumeration of connected labeled pair masks,
+and the connected isomorphism classes with their labelings.  Edge bit
 ``j*(j-1)//2 + i`` for a pair ``i < j`` follows the graph6 column order,
 so a graph's pair mask is exactly its graph6 payload bit stream.
 """
@@ -265,6 +265,27 @@ def _reaches_all(adj: Sequence[int], keep: int) -> bool:
 
 def is_connected(g: Graph) -> bool:
     return _reaches_all(g.adj, (1 << g.n) - 1)
+
+
+def twin_classes(g: Graph) -> tuple[int, ...]:
+    """Vertex masks of g's twin classes, in order of their least vertex.
+
+    Vertices with equal closed neighborhoods N[v] are adjacent twins,
+    vertices with equal open neighborhoods N(v) non-adjacent twins, and
+    no vertex has twins of both kinds; a vertex without twins is a class
+    of its own.  Twins of g are twins of its complement, with the two
+    kinds swapped, so both share these classes.
+    """
+    closed: dict[int, int] = {}
+    opened: dict[int, int] = {}
+    for v, a in enumerate(g.adj):
+        closed[a | 1 << v] = closed.get(a | 1 << v, 0) | 1 << v
+        opened[a] = opened.get(a, 0) | 1 << v
+    classes: dict[int, None] = {}  # insertion order is least-vertex order
+    for v, a in enumerate(g.adj):
+        c = closed[a | 1 << v]
+        classes[c if c & (c - 1) else opened[a]] = None
+    return tuple(classes)
 
 
 # --- exhaustive enumeration --------------------------------------------------

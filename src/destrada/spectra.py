@@ -4,6 +4,16 @@ Full spectra come from Householder tridiagonalization followed by
 implicit-shift QL iteration, written out here rather than delegated, so
 the same arithmetic runs everywhere the harness does.  No eigenvectors
 are accumulated; nothing downstream needs them.
+
+A graph's matrices are solved on the quotient over its twin classes
+(``graphs.twin_classes``).  Twins u, v have equal entries towards every
+other vertex, so each vector that is supported on one class and sums to
+zero there is an eigenvector, for alpha - beta, where alpha is the
+diagonal and beta the entry between the class's members.  Those values
+are exact: -1 for adjacent and -2 for non-adjacent twins in the distance
+matrix, -1 and 0 in the adjacency matrix.  What remains is the symmetric
+quotient on the class indicator vectors, one row a class.  A twin-free
+graph's quotient is its own matrix, entry for entry, and K_n's is 1 x 1.
 """
 
 from __future__ import annotations
@@ -143,23 +153,64 @@ def _ql_implicit_shift(d: list[float], e: list[float], n: int) -> None:
                 e[m] = 0.0
 
 
-def _eig_in_place(a: list[list[float]], n: int) -> Spectrum:
+def _quotient(
+    rows: Sequence[Sequence[float]], twins: Sequence[int] | None
+) -> tuple[list[list[float]], list[float]]:
+    """(quotient matrix, the eigenvalues it leaves out) of a graph matrix over twin classes.
+
+    Class i, with least vertex c_i, size s_i and entry beta_i between its
+    members, has B_ii = alpha + (s_i - 1) beta_i, B_ij = sqrt(s_i s_j)
+    M[c_i][c_j], and leaves out alpha - beta_i, s_i - 1 times.
+    """
+    if twins is None or len(twins) == len(rows):
+        return [list(map(float, row)) for row in rows], []
+    reps = [(c & -c).bit_length() - 1 for c in twins]
+    sizes = [c.bit_count() for c in twins]
+    a = [[math.sqrt(si * sj) * rows[ci][cj] for cj, sj in zip(reps, sizes)]
+         for ci, si in zip(reps, sizes)]
+    left_out = []
+    for i, (c, ci, si) in enumerate(zip(twins, reps, sizes)):
+        if si > 1:
+            rest = c & (c - 1)  # the members but c_i
+            alpha, beta = rows[ci][ci], rows[ci][(rest & -rest).bit_length() - 1]
+            a[i][i] = float(alpha + (si - 1) * beta)
+            left_out += [float(alpha - beta)] * (si - 1)
+    return a, left_out
+
+
+def _eig_in_place(a: list[list[float]], n: int) -> list[float]:
+    """Eigenvalues of the n x n symmetric matrix a, which is overwritten, in no order."""
     if n == 1:
-        return Spectrum(values=(a[0][0],))
+        return [a[0][0]]
     d, e = _tridiagonalize(a, n)
     _ql_implicit_shift(d, e, n)
-    d.sort(reverse=True)
-    return Spectrum(values=tuple(d))
+    return d
 
 
-def eig_sym(rows: Sequence[Sequence[float]]) -> Spectrum:
-    """All eigenvalues of a symmetric matrix given by its rows, sorted non-increasing."""
-    return _eig_in_place([list(row) for row in rows], len(rows))
+def _solve(rows: Sequence[Sequence[float]], twins: Sequence[int] | None) -> Spectrum:
+    a, values = _quotient(rows, twins)
+    values += _eig_in_place(a, len(a))
+    values.sort(reverse=True)
+    return Spectrum(values=tuple(values))
 
 
-def distance_spectrum(dm: DistanceMatrix) -> Spectrum:
-    """eig_sym of the distance matrix, solved straight from its integer rows."""
-    return _eig_in_place([list(map(float, row)) for row in dm.rows], dm.n)
+def eig_sym(rows: Sequence[Sequence[float]], twins: Sequence[int] | None = None) -> Spectrum:
+    """All eigenvalues of a symmetric matrix given by its rows, sorted non-increasing.
+
+    twins, when given, are the twin classes of the graph that rows is
+    the adjacency matrix of, or of its complement, and the solve runs on
+    their quotient.
+    """
+    return _solve(rows, twins)
+
+
+def distance_spectrum(dm: DistanceMatrix, twins: Sequence[int] | None = None) -> Spectrum:
+    """The distance matrix's eigenvalues, solved straight from its integer rows.
+
+    twins, when given, are the graph's twin classes, and the solve runs
+    on their quotient.
+    """
+    return _solve(dm.rows, twins)
 
 
 def lemma1_check(s: Spectrum, ssq2: int) -> tuple[float, float]:

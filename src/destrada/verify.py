@@ -139,7 +139,7 @@ def _l2_residual(g: Graph, ev: GraphEvaluation) -> float:
     """
     if ev.r is None or ev.rho > 2:
         return 0.0
-    adj = eig_sym(adjacency_matrix(g))
+    adj = eig_sym(adjacency_matrix(g), ev.twins)
     try:
         mapped = lemma2_spectrum(adj, g.n, ev.r)
     except ValueError:  # lambda_1(A) is not r

@@ -30,6 +30,7 @@ from destrada.graphs import (
     parse_edge_list,
     parse_graph6,
     to_graph6,
+    twin_classes,
 )
 from destrada.metric import distance_matrix
 from graph_helpers import edges, enumerate_regular
@@ -235,6 +236,31 @@ def test_complement_is_an_involution(g):
 @given(graphs())
 def test_complement_edge_counts_partition_all_pairs(g):
     assert g.m + complement(g).m == g.n * (g.n - 1) // 2
+
+
+@given(graphs())
+def test_twin_classes_match_their_definition(g):
+    # u, v are twins when N[u] = N[v] or N(u) = N(v); the classes
+    # partition the vertices in order of their least vertex, and the
+    # complement has the same ones
+    def twins(u, v):
+        return g.adj[u] | 1 << u == g.adj[v] | 1 << v or g.adj[u] == g.adj[v]
+
+    classes = twin_classes(g)
+    assert sum(classes) == (1 << g.n) - 1
+    assert [c & -c for c in classes] == sorted(c & -c for c in classes)
+    for c in classes:
+        members = [v for v in range(g.n) if c >> v & 1]
+        assert all(twins(members[0], v) for v in members)
+        assert not any(twins(members[0], v) for v in range(g.n) if not c >> v & 1)
+    assert twin_classes(complement(g)) == classes
+
+
+def test_twin_classes_of_families(k, star, path):
+    assert twin_classes(k(5)) == (0b11111,)
+    assert twin_classes(star(5)) == (0b00001, 0b11110)
+    assert twin_classes(path(4)) == (1, 2, 4, 8)
+    assert twin_classes(generate(GraphFamily.multipartite((2, 3)))) == (0b00011, 0b11100)
 
 
 @given(graphs())

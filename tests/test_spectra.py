@@ -8,7 +8,15 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from destrada.graphs import Graph, GraphFamily, connected_pair_masks, generate
+from destrada.bounds import CATALOG_IDS, bound_report, evaluate
+from destrada.graphs import (
+    Graph,
+    GraphFamily,
+    complement,
+    connected_pair_masks,
+    generate,
+    twin_classes,
+)
 from destrada.metric import distance_matrix, sum_sq_distances
 from destrada.spectra import (
     EigenConvergenceError,
@@ -101,19 +109,20 @@ DISTANCE_ORACLE_CASES = [
 
 @pytest.mark.parametrize("family", DISTANCE_ORACLE_CASES, ids=lambda f: f.kind + str(f.n or f.parts))
 def test_distance_eigenvalues_match_exact_arithmetic(family):
-    dm = distance_matrix(generate(family))
-    got = distance_spectrum(dm).values
+    g = generate(family)
+    dm = distance_matrix(g)
     want = sympy_eigenvalues(dm.rows)
-    assert_spectra_close(got, want)
+    assert_spectra_close(distance_spectrum(dm).values, want)
+    assert_spectra_close(distance_spectrum(dm, twin_classes(g)).values, want)
 
 
 @pytest.mark.parametrize("family", DISTANCE_ORACLE_CASES, ids=lambda f: f.kind + str(f.n or f.parts))
 def test_adjacency_eigenvalues_match_exact_arithmetic(family):
     g = generate(family)
     mat = adjacency_matrix(g)
-    got = eig_sym(mat).values
     want = sympy_eigenvalues(mat)
-    assert_spectra_close(got, want)
+    assert_spectra_close(eig_sym(mat).values, want)
+    assert_spectra_close(eig_sym(mat, twin_classes(g)).values, want)
 
 
 def test_complete_graph_spectra(k):
@@ -154,6 +163,142 @@ def test_sweep_budget_exhaustion_raises(monkeypatch):
         eig_sym([[0.0, 1.0], [1.0, 0.0]])
 
 
+# --- twin-class deflation -------------------------------------------------------
+
+# K_n, stars (K(1, n - 1)) and complete multipartite graphs up to 62 vertices
+TWIN_RICH = [GraphFamily("complete", n) for n in (2, 3, 10, 33, 62)] + [
+    GraphFamily.multipartite(parts) for parts in (
+        (1, 2), (1, 9), (1, 61), (1, 1, 2), (2, 3), (14, 14), (5, 5, 5, 5),
+        (3, 7, 12), (31, 31), (10, 20, 30),
+    )
+]
+
+
+def assert_matches_lapack(got, rows):
+    want = np.linalg.eigvalsh(np.array(rows, dtype=float))[::-1]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("family", TWIN_RICH, ids=lambda f: f.kind + str(f.n or f.parts))
+def test_deflated_spectra_match_lapack_on_twin_rich_graphs(family):
+    g = generate(family)
+    twins = twin_classes(g)
+    assert len(twins) < g.n
+    dm = distance_matrix(g)
+    assert_matches_lapack(distance_spectrum(dm, twins).values, dm.rows)
+    for h in (g, complement(g)):
+        a = adjacency_matrix(h)
+        assert_matches_lapack(eig_sym(a, twins).values, a)
+
+
+@st.composite
+def planted_twin_graphs(draw):
+    """A connected base graph whose vertices are blown up into cliques or independent sets.
+
+    Returns the graph and its planted classes as vertex masks; every
+    planted class lies inside one twin class.
+    """
+    base = draw(connected_graphs(min_n=1, max_n=6))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=base.n, max_size=base.n))
+    # a lone independent class of two or more vertices is disconnected
+    cliques = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+    if base.n == 1:
+        cliques = [True]
+    starts = [sum(sizes[:i]) for i in range(base.n + 1)]
+    classes = [((1 << sizes[i]) - 1) << starts[i] for i in range(base.n)]
+    edges = []
+    for i in range(base.n):
+        members = list(range(starts[i], starts[i + 1]))
+        if cliques[i]:
+            edges += [(u, v) for k, u in enumerate(members) for v in members[k + 1:]]
+        for j in range(i + 1, base.n):
+            if base.adj[i] >> j & 1:
+                edges += [(u, v) for u in members for v in range(starts[j], starts[j + 1])]
+    return Graph.from_edges(starts[-1], edges), classes
+
+
+def _relabeled(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [
+        (perm[u], perm[v]) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1
+    ])
+
+
+def _moved(mask: int, perm: list[int]) -> int:
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+@given(planted_twin_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_planted_twin_classes_deflate_to_the_lapack_spectrum(planted, rnd):
+    g, planted_classes = planted
+    twins = twin_classes(g)
+    assert all(any(c & t == c for t in twins) for c in planted_classes)
+    dm = distance_matrix(g)
+    got = distance_spectrum(dm, twins).values
+    assert_matches_lapack(got, dm.rows)
+    for h in (g, complement(g)):
+        a = adjacency_matrix(h)
+        assert_matches_lapack(eig_sym(a, twins).values, a)
+    # relabeling moves the classes with the vertices and keeps the spectrum
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = _relabeled(g, perm)
+    assert set(twin_classes(h)) == {_moved(c, perm) for c in twins}
+    moved = distance_spectrum(distance_matrix(h), twin_classes(h)).values
+    assert all(abs(a - b) <= 1e-12 * max(1.0, abs(a)) for a, b in zip(got, moved))
+
+
+def test_twin_free_quotient_is_the_matrix_itself(petersen, path, cycle):
+    # a twin-free graph's solve is bit for bit the plain solve
+    for g in (petersen, path(4), path(62), cycle(5), cycle(62)):
+        twins = twin_classes(g)
+        assert len(twins) == g.n
+        dm = distance_matrix(g)
+        assert distance_spectrum(dm, twins) == distance_spectrum(dm)
+        a = adjacency_matrix(g)
+        assert eig_sym(a, twins) == eig_sym(a)
+
+
+def test_complete_graph_spectrum_is_exact():
+    for n in range(2, 63):
+        g = generate(GraphFamily("complete", n))
+        want = (float(n - 1),) + (-1.0,) * (n - 1)
+        assert evaluate(g).spectrum.values == want
+        assert eig_sym(adjacency_matrix(g), twin_classes(g)).values == want
+
+
+@pytest.mark.parametrize("parts", [(1, 9), (1, 61), (2, 2), (2, 3), (3, 3, 3), (14, 14),
+                                   (5, 5, 5, 5), (31, 31), (10, 20, 30)])
+def test_complete_multipartite_minus_two_multiplicity_is_exact(parts):
+    # with at most one part of size 1, the classes are the parts, and the
+    # quotient plus 2I is diag(s) + sqrt(s) sqrt(s)^T, positive definite,
+    # so -2 comes only from the twin classes: n - k times
+    s = evaluate(generate(GraphFamily.multipartite(parts))).spectrum.values
+    assert s.count(-2.0) == sum(parts) - len(parts)
+    assert min(v for v in s if v != -2.0) > -2.0 + 1e-6
+
+
+def test_complete_graph_bounds_meet_with_zero_slack():
+    rows = dict(zip(CATALOG_IDS, bound_report(generate(GraphFamily("complete", 62)))))
+    for tid in ("T3_lower", "L3_lambda1_lower", "L4_class"):
+        assert rows[tid].slack == 0.0 and rows[tid].equality, tid
+
+
+def test_sweep_budget_exhaustion_raises_on_a_twin_free_graph(monkeypatch, path):
+    import destrada.spectra as spectra_mod
+
+    monkeypatch.setattr(spectra_mod, "_MAX_QL_SWEEPS", 0)
+    p4 = path(4)
+    twins = twin_classes(p4)
+    assert len(twins) == 4
+    with pytest.raises(EigenConvergenceError):
+        distance_spectrum(distance_matrix(p4), twins)
+    with pytest.raises(EigenConvergenceError):
+        evaluate(p4)
+
+
 # --- independent oracle over the whole small population ----------------------
 
 def test_distance_spectra_match_lapack_to_six_vertices():
@@ -162,8 +307,10 @@ def test_distance_spectra_match_lapack_to_six_vertices():
     total = 0
     worst = 0.0
     for n in range(2, 7):
-        dms = [distance_matrix(Graph.from_pair_mask(n, mask)) for mask in connected_pair_masks(n)]
-        ours = np.array([distance_spectrum(dm).values for dm in dms])
+        graphs = [Graph.from_pair_mask(n, mask) for mask in connected_pair_masks(n)]
+        dms = [distance_matrix(g) for g in graphs]
+        ours = np.array([distance_spectrum(dm, twin_classes(g)).values
+                         for g, dm in zip(graphs, dms)])
         ref = np.linalg.eigvalsh(np.array([dm.rows for dm in dms], dtype=float))[:, ::-1]
         worst = max(worst, float(np.max(np.abs(ours - ref))))
         total += len(dms)
