@@ -1,10 +1,11 @@
 """Command-line surface: compute, bounds, sweep, verify.
 
-Exit codes: 0 success, 2 parse error (inputs or arguments), 3 precondition
-violation (disconnected graph, family constraint, max-n or thread count
-out of range), 4 verification found a violated invariant.  Any other
-exception is the program's own failure and is not caught.  Output is
-byte-deterministic for a fixed input, including across --threads settings.
+Exit codes: 0 success, 2 parse error (inputs, arguments or an unwritable
+--out), 3 precondition violation (disconnected graph, family constraint,
+max-n or thread count out of range), 4 verification found a violated
+invariant.  Any other exception is the program's own failure and is not
+caught.  Output is byte-deterministic for a fixed input, including
+across --threads settings.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
+# an edge-list file is read no further; the longest unpadded valid list,
+# on 62 vertices, is about 11 KB
+MAX_EDGE_LIST_CHARS = 1 << 20
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -49,9 +53,11 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     else:
         try:
             with open(args.edges, encoding="ascii") as fh:
-                text = fh.read()
+                text = fh.read(MAX_EDGE_LIST_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"cannot read {args.edges}: {exc}") from exc
+        if len(text) > MAX_EDGE_LIST_CHARS:
+            raise GraphFormatError(f"{args.edges} is longer than {MAX_EDGE_LIST_CHARS} characters")
         g = parse_edge_list(text)
     if not is_connected(g):
         raise DisconnectedGraphError("input graph is not connected")
@@ -79,8 +85,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GraphFormatError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:

@@ -7,10 +7,12 @@ once, on its canonical labeling, with the full battery, and counts the
 class's n!/|Aut| labelings.  A class and its connected complement class
 form one job, whose pair row reads the two canonical labelings; a
 self-complementary class's one solve stands on both sides of it.  Every
-printed number is a fact of one class's canonical labeling: the summary
-still names labeled graphs, so each labeling of a class that records
-anything gets its class's entries under its own graph6 id, with no solve
-of its own.  When a graph and its complement are both connected, the
+printed number is a fact of one class's canonical labeling.  A check's
+result is an entry (kind, check id, slack), of kind violation, finding
+or hit (whose slack is None), and each class's battery gives one list
+of them.  The summary still names labeled graphs, so each labeling of a
+class gets the class's entries under its own graph6 id, with no solve of
+its own.  When a graph and its complement are both connected, the
 smaller of their two masks owns the pair and also gets the pair row.
 
 `threads` processes share a sweep, this one included: each grows the
@@ -66,6 +68,8 @@ L2_TRANSFORM = "L2_transform"
 L4_CONTRADICTION = "L4_contradiction"
 EIG_FAILURE = "EIG_convergence"
 T3_ARGMAX = "T3_argmax_sanity"
+# entry kinds
+VIOLATION, FINDING, HIT = "violation", "finding", "hit"
 
 _T4_ROW = CATALOG[CATALOG_IDS.index(T4_NG_LOWER)]
 # the rows each graph is checked on alone; _check_pair adds the pair row
@@ -114,23 +118,23 @@ def _fails(r: BoundReport) -> bool:
     return not (r.holds and (not r.strict_required or r.slack > STRICT_SLACK))
 
 
-def _verdicts(rows, reports) -> tuple[list, list, list]:
-    """(violations, findings, hits) of catalog rows and their reports.
+def _verdicts(rows, reports) -> list:
+    """The entries of catalog rows and their reports.
 
     The catalog says whether a failed row is a violation or a finding.
     """
-    bad, found, hits = [], [], []
+    entries = []
     for (_, verdict, equality_tracked, _), r in zip(rows, reports):
         if not r.applicable:
             continue
         if equality_tracked and r.equality:
-            hits.append(r.theorem_id)
+            entries.append((HIT, r.theorem_id, None))
         if verdict is not None and _fails(r):
-            (bad if verdict == ASSERTED else found).append((r.theorem_id, r.slack))
-    return bad, found, hits
+            entries.append((VIOLATION if verdict == ASSERTED else FINDING, r.theorem_id, r.slack))
+    return entries
 
 
-def _l2_residual(g: Graph, ev: GraphEvaluation) -> float:
+def _l2_residual(ev: GraphEvaluation) -> float:
     """How far a regular diameter-<=2 graph's distance spectrum is from its
     adjacency transform; 0 on every other graph.
 
@@ -139,43 +143,40 @@ def _l2_residual(g: Graph, ev: GraphEvaluation) -> float:
     """
     if ev.r is None or ev.rho > 2:
         return 0.0
-    adj = eig_sym(adjacency_matrix(g), ev.twins)
+    adj = eig_sym(adjacency_matrix(ev.graph), ev.twins)
     try:
-        mapped = lemma2_spectrum(adj, g.n, ev.r)
+        mapped = lemma2_spectrum(adj, ev.graph.n, ev.r)
     except ValueError:  # lambda_1(A) is not r
         return abs(adj.values[0] - ev.r)
     return max(abs(a - b) for a, b in zip(mapped.values, ev.spectrum.values))
 
 
-def _failure(check_id: str):
-    """_check_graph's result on a graph whose battery stops at check_id."""
-    return [(check_id, math.nan)], [], [], math.nan
+def _failure(check_id: str) -> list:
+    """The entries of a graph whose battery stops at check_id."""
+    return [(VIOLATION, check_id, math.nan)]
 
 
-def _check_graph(g: Graph, ev: GraphEvaluation | None):
-    """The battery on one graph but the pair row: (violations, findings, hits, t3_slack).
+def _check_graph(ev: GraphEvaluation | None) -> tuple[list, float]:
+    """The battery on one graph but the pair row: (entries, T3 slack).
 
-    ev is g's evaluation, None when its solve failed.  A failed adjacency
-    solve, of T6's complement or of the L2 transform, fails the graph the
-    same way.  Violations and findings are (check id, slack); hits are
-    check ids.
+    ev is the graph's evaluation, None when its solve failed.  A failed
+    adjacency solve, of T6's complement or of the L2 transform, fails the
+    graph the same way.
     """
     if ev is None:
-        return _failure(EIG_FAILURE)
+        return _failure(EIG_FAILURE), math.nan
     try:
         reports = [row.report(ev) for row in _SIDE_ROWS]
-        l2 = _l2_residual(g, ev)
+        l2 = _l2_residual(ev)
     except EigenConvergenceError:
-        return _failure(EIG_FAILURE)
+        return _failure(EIG_FAILURE), math.nan
     except SpectralMismatchError:
-        return _failure(L4_CONTRADICTION)
-    bad, found, hits = _verdicts(_SIDE_ROWS, reports)
+        return _failure(L4_CONTRADICTION), math.nan
     failed, t3_slack = cross_checks(ev, reports)
-    bad += failed
-    bad += _trace_residuals(ev)
+    failed += _trace_residuals(ev)
     if l2 > SIGNATURE_ABS_TOL:
-        bad.append((L2_TRANSFORM, l2))
-    return bad, found, hits, t3_slack
+        failed.append((L2_TRANSFORM, l2))
+    return _verdicts(_SIDE_ROWS, reports) + [(VIOLATION, *e) for e in failed], t3_slack
 
 
 def _check_pair(n: int, rep: int, comp_rep: int | None):
@@ -184,43 +185,32 @@ def _check_pair(n: int, rep: int, comp_rep: int | None):
     rep and comp_rep are the pair masks of the two graphs; comp_rep is None
     when the complement is disconnected, and rep itself when the graph is
     self-complementary, which is then solved once and stands on both sides
-    of the pair row.  Returns (mask, side, owner) for each distinct mask:
-    side is _check_graph's result on that graph, what its labelings
-    record; owner is what a labeling records when it owns its pair, side
-    plus the pair row, or EIG_convergence alone when a distance solve of
-    the pair failed.  With no connected complement, owner is side.
+    of the pair row.  Returns (mask, side, owner, T3 slack) for each
+    distinct mask: side is _check_graph's entries for that graph, what its
+    labelings record; owner is what a labeling records when it owns its
+    pair, side plus the pair row, or EIG_convergence alone when a distance
+    solve of the pair failed.  With no connected complement, owner is side.
     """
     masks = [rep] if comp_rep in (None, rep) else [rep, comp_rep]
-    graphs = [Graph.from_pair_mask(n, m) for m in masks]
-    evs = [_evaluate(g) for g in graphs]
-    sides = [_check_graph(g, ev) for g, ev in zip(graphs, evs)]
-    if comp_rep is None:
-        return [(rep, sides[0], sides[0])]
-    if any(ev is None for ev in evs):
-        return [(m, side, _failure(EIG_FAILURE)) for m, side in zip(masks, sides)]
-    bad, found, hits = _verdicts([_T4_ROW], [pair_report(evs[0], evs[-1])])
-    return [
-        (m, side, (side[0] + bad, side[1] + found, side[2] + hits, side[3]))
-        for m, side in zip(masks, sides)
-    ]
+    evs = [_evaluate(Graph.from_pair_mask(n, m)) for m in masks]
+    sides = [_check_graph(ev) for ev in evs]
+    if comp_rep is not None and any(ev is None for ev in evs):
+        return [(m, side, _failure(EIG_FAILURE), t3) for m, (side, t3) in zip(masks, sides)]
+    pair = [] if comp_rep is None else _verdicts([_T4_ROW], [pair_report(evs[0], evs[-1])])
+    return [(m, side, side + pair, t3) for m, (side, t3) in zip(masks, sides)]
 
 
-def _labeled(n: int, x: int, side, owner) -> tuple[list, list, list]:
-    """The entries of labeled graph x, from _check_pair's side and owner for its class.
+def _labeled(n: int, masks, side: list, owner: list) -> list:
+    """The entries (kind, n, mask, check id, slack) of each labeled graph in masks.
 
-    x gets owner when it is the smaller mask of x and its complement, and
-    side otherwise.  Entries are (n, mask, graph6 id, check id[, slack]),
-    returned as (violations, findings, hits).
+    side and owner are _check_pair's for the class of masks.  A mask owns
+    its pair, and gets owner, when its last pair bit is clear: vertices
+    n - 2 and n - 1 are not adjacent, which is the same as the mask being
+    smaller than its complement.  Every other mask gets side.
     """
-    bad, found, hits, _ = owner if x < ((1 << (n * (n - 1) // 2)) - 1) ^ x else side
-    if not (bad or found or hits):
-        return [], [], []
-    gid = to_graph6(Graph.from_pair_mask(n, x))
-    return (
-        [(n, x, gid, *e) for e in bad],
-        [(n, x, gid, *e) for e in found],
-        [(n, x, gid, cid) for cid in hits],
-    )
+    last = 1 << (n * (n - 1) // 2 - 1)
+    return [(kind, n, x, cid, slack) for x in masks
+            for kind, cid, slack in (side if x & last else owner)]
 
 
 def _owned_pairs(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, int | None]]:
@@ -252,21 +242,16 @@ def _run_shard(table: dict[int, list[tuple[int, int]]], k: int, shares: int):
 
     table maps each order to its ascending (canonical mask, |Aut|) rows,
     and share k holds rows k, k + shares, ... of every order.  entries are
-    _labeled's (violations, findings, hits) over every labeling of each
-    class of those pairs; ranked holds each such class's (n, canonical
-    mask, T3 slack).
+    _labeled's over every labeling of each class of those pairs; ranked
+    holds each such class's (n, canonical mask, T3 slack).
     """
-    entries = ([], [], [])
-    ranked = []
+    entries, ranked = [], []
     for n, classes in table.items():
         for rep, comp_rep in _owned_pairs(n, classes[k::shares]):
-            for cls, side, owner in _check_pair(n, rep, comp_rep):
-                ranked.append((n, cls, side[3]))
-                if not any(side[:3] + owner[:3]):
-                    continue
-                for x in labelings(n, cls):
-                    for acc, new in zip(entries, _labeled(n, x, side, owner)):
-                        acc.extend(new)
+            for cls, side, owner, t3_slack in _check_pair(n, rep, comp_rep):
+                ranked.append((n, cls, t3_slack))
+                if side or owner:
+                    entries += _labeled(n, labelings(n, cls), side, owner)
     return entries, ranked
 
 
@@ -292,13 +277,13 @@ def _receive(proc, conn):
 
 
 def _summarize(max_n: int, counts: dict[int, int], entries, ranked) -> VerificationSummary:
-    """The summary of labeled entries, given as _labeled's (violations, findings, hits).
+    """The summary of _labeled's entries.
 
     counts holds the number of connected labeled graphs at each order;
     ranked holds (n, mask, T3 slack) candidates for the T3 argmax, and the
-    smaller mask wins an exact tie.
+    smaller mask wins an exact tie.  The entries are sorted by (kind, n,
+    mask, check id) and split by kind, each graph6 id rendered once.
     """
-    violations, findings, hits = entries
     best_by_n: dict[int, tuple[float, int]] = {}
     for n, mask, t3_slack in ranked:
         if t3_slack == t3_slack:  # skip nan
@@ -309,29 +294,28 @@ def _summarize(max_n: int, counts: dict[int, int], entries, ranked) -> Verificat
     argmax_rows = []
     for n in sorted(best_by_n):
         slack, mask = best_by_n[n]
-        gid = to_graph6(Graph.from_pair_mask(n, mask))
-        argmax_rows.append((n, gid, slack))
-        # the zero-slack complete graph can only top chart when it is alone
-        if n >= 3 and gid == complete_graph_id(n):
-            violations.append((n, mask, gid, T3_ARGMAX, slack))
+        argmax_rows.append((n, to_graph6(Graph.from_pair_mask(n, mask)), slack))
+        # the zero-slack complete graph can only top the chart when it is alone
+        if n >= 3 and mask == (1 << (n * (n - 1) // 2)) - 1:
+            entries.append((VIOLATION, n, mask, T3_ARGMAX, slack))
 
-    violations.sort(key=lambda e: (e[0], e[1], e[3]))
-    findings.sort(key=lambda e: (e[0], e[1], e[3]))
-    hits.sort(key=lambda e: (e[0], e[1], e[3]))
+    entries.sort(key=lambda e: e[:4])
+    gids = {}
+    by_kind = {VIOLATION: [], FINDING: [], HIT: []}
+    for kind, n, mask, cid, slack in entries:
+        if (n, mask) not in gids:
+            gids[n, mask] = to_graph6(Graph.from_pair_mask(n, mask))
+        by_kind[kind].append((gids[n, mask], cid, slack))
     return VerificationSummary(
         population=f"connected labeled graphs with 2 <= n <= {max_n}",
         max_n=max_n,
         graphs_checked=sum(counts.values()),
         counts_by_n=tuple(sorted(counts.items())),
-        violations=tuple((gid, cid, s) for _, _, gid, cid, s in violations),
-        findings=tuple((gid, cid, s) for _, _, gid, cid, s in findings),
-        equality_hits=tuple((gid, cid) for _, _, gid, cid in hits),
+        violations=tuple(by_kind[VIOLATION]),
+        findings=tuple(by_kind[FINDING]),
+        equality_hits=tuple(e[:2] for e in by_kind[HIT]),
         t3_argmax=tuple(argmax_rows),
     )
-
-
-def complete_graph_id(n: int) -> str:
-    return to_graph6(Graph.from_pair_mask(n, (1 << (n * (n - 1) // 2)) - 1))
 
 
 def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
@@ -381,10 +365,8 @@ def verify_population(max_n: int, threads: int = 1) -> VerificationSummary:
             conn.close()
 
     counts = {n: sum(math.factorial(n) // aut for _, aut in table[n]) for n in table}
-    entries = ([], [], [])
-    ranked = []
+    entries, ranked = [], []
     for shard_entries, shard_ranked in outs:
-        for acc, new in zip(entries, shard_entries):
-            acc.extend(new)
+        entries += shard_entries
         ranked += shard_ranked
     return _summarize(max_n, counts, entries, ranked)

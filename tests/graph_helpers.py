@@ -1,10 +1,11 @@
 """Graph helpers that only the tests need.
 
 edges() lists a graph's edges for networkx and other reference code;
-enumerate_regular() generates the labeled regular graphs on up to 8
-vertices that acceptance criteria 03 and 09 sweep; labeled_sweep() is
-the labeled reference for the class sweep of verify_population(), and
-assert_same_up_to_rounding() compares the two.
+complete_graph_id() is K_n's graph6 id; enumerate_regular() generates
+the labeled regular graphs on up to 8 vertices that acceptance criteria
+03 and 09 sweep; labeled_sweep() is the labeled reference for the class
+sweep of verify_population(), and assert_same_up_to_rounding() compares
+the two.
 """
 
 import functools
@@ -16,10 +17,13 @@ from destrada.bounds import CATALOG_IDS, T3_LOWER, bound_report
 from destrada.graphs import (
     MAX_ENUM_N,
     Graph,
+    GraphFamily,
     canonical_form,
     connected_pair_masks,
+    generate,
     is_connected,
     parse_graph6,
+    to_graph6,
 )
 from destrada.records import summary_to_json
 from destrada.verify import VerificationSummary, _check_pair, _labeled, _summarize
@@ -28,6 +32,10 @@ from destrada.verify import VerificationSummary, _check_pair, _labeled, _summari
 def edges(g: Graph) -> list[tuple[int, int]]:
     """Edges (i, j) with i < j, ascending by j then i (the pair-mask bit order)."""
     return [(i, j) for j in range(1, g.n) for i in range(j) if g.adj[j] >> i & 1]
+
+
+def complete_graph_id(n: int) -> str:
+    return to_graph6(generate(GraphFamily("complete", n)))
 
 
 def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -95,8 +103,7 @@ def labeled_sweep(max_n: int) -> VerificationSummary:
     swept once per session: call it only on unpatched code.
     """
     counts = {}
-    entries = ([], [], [])
-    ranked = []
+    entries, ranked = [], []
     for n in range(2, max_n + 1):
         full = (1 << (n * (n - 1) // 2)) - 1
         done = set()
@@ -106,11 +113,10 @@ def labeled_sweep(max_n: int) -> VerificationSummary:
                 continue
             comp = full ^ mask
             connected = is_connected(Graph.from_pair_mask(n, comp))
-            for m, side, owner in _check_pair(n, mask, comp if connected else None):
+            for m, side, owner, t3_slack in _check_pair(n, mask, comp if connected else None):
                 done.add(m)
-                ranked.append((n, m, side[3]))
-                for acc, new in zip(entries, _labeled(n, m, side, owner)):
-                    acc.extend(new)
+                ranked.append((n, m, t3_slack))
+                entries += _labeled(n, [m], side, owner)
     return _summarize(max_n, counts, entries, ranked)
 
 

@@ -32,8 +32,8 @@ from destrada.spectra import (
     lemma1_check,
     lemma2_spectrum,
 )
-from destrada.verify import complete_graph_id, verify_population
-from graph_helpers import enumerate_regular
+from destrada.verify import verify_population
+from graph_helpers import complete_graph_id, enumerate_regular
 
 POPULATION_COUNTS = ((2, 1), (3, 4), (4, 38), (5, 728), (6, 26704), (7, 1866256))
 POPULATION_TOTAL = 1893731

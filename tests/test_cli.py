@@ -12,6 +12,7 @@ from destrada.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_VIOLATION,
+    MAX_EDGE_LIST_CHARS,
     main,
 )
 from destrada.graphs import GraphFamily, generate, to_graph6
@@ -237,6 +238,26 @@ def test_non_ascii_edge_file_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "compute", "--edges", str(path))
     assert (code, out) == (EXIT_PARSE, "")
     assert "cannot read" in err
+
+
+def test_edge_file_over_the_size_cap_exit_code(capsys, tmp_path):
+    # the file is read only up to one character past the cap, so a huge
+    # or endless input is rejected without reading it all
+    path = tmp_path / "long.txt"
+    path.write_text("2 1\n0 1\n".ljust(MAX_EDGE_LIST_CHARS + 1))
+    code, out, err = run(capsys, "compute", "--edges", str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert f"longer than {MAX_EDGE_LIST_CHARS} characters" in err
+    # a file at the cap is read whole, and trailing blanks parse
+    path.write_text("2 1\n0 1\n".ljust(MAX_EDGE_LIST_CHARS))
+    assert run(capsys, "compute", "--edges", str(path))[0] == EXIT_OK
+
+
+def test_unwritable_out_exit_code(capsys, tmp_path):
+    target = tmp_path / "no" / "x.json"
+    code, out, err = run(capsys, "compute", "--g6", "Dhc", "--out", str(target))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "cannot write" in err
 
 
 def test_oversized_edge_list_exit_code(capsys, tmp_path):

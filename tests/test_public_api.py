@@ -1,10 +1,10 @@
-"""Every public name of the library has a caller in the library or the scripts.
+"""Every public name of the library has a caller in the library.
 
 A name that only tests use is not public API: it is dead weight that the
 library has to keep working.  A use is a load of the bare name or an
 attribute access by that name, anywhere in src/destrada/*.py other than
-__init__.py, or in scripts/*.py.  The benchmark's traced names in
-perfbench/spans.py count as uses too: the tracer wraps them by name.
+__init__.py.  The benchmark's traced names in perfbench/spans.py count
+as uses too: the tracer wraps them by name.
 """
 
 import ast
@@ -17,9 +17,8 @@ SRC = ROOT / "src" / "destrada"
 
 
 def used_names() -> set[str]:
-    files = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     names = set()
-    for path in files:
+    for path in SRC.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

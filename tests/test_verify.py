@@ -43,13 +43,13 @@ from destrada.spectra import (
     lemma1_check,
     lemma2_spectrum,
 )
-from destrada.verify import (
-    MAX_THREADS,
-    VerificationSummary,
+from destrada.verify import MAX_THREADS, VerificationSummary, verify_population
+from graph_helpers import (
+    assert_same_up_to_rounding,
     complete_graph_id,
-    verify_population,
+    labeled_sweep,
+    summary_json,
 )
-from graph_helpers import assert_same_up_to_rounding, labeled_sweep, summary_json
 
 FULL5 = (1 << 10) - 1  # every vertex pair on five vertices
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -567,24 +567,27 @@ def test_pair_row_hits_land_on_the_owner_alone():
     # not the labeling, gets T4_ng_lower
     rep, _ = canonical_form(5, C5.pair_mask())
     assert rep < FULL5 ^ rep  # the representative owns its own pair
-    [(cls, side, owner)] = verify_mod._check_pair(5, rep, rep)  # one solve
+    [(cls, side, owner, _)] = verify_mod._check_pair(5, rep, rep)  # one solve
     assert cls == rep
     x = next(m for m in labelings(5, rep) if FULL5 ^ m < m)
-    violations, findings, hits = (
-        a + b for a, b in zip(verify_mod._labeled(5, x, side, owner),
-                              verify_mod._labeled(5, FULL5 ^ x, side, owner))
-    )
+    entries = verify_mod._labeled(5, [x, FULL5 ^ x], side, owner)
 
-    def ids(entries, mask):
-        return [e[3] for e in entries if e[1] == mask]
+    def ids(kind, mask):
+        return [e[3] for e in entries if e[0] == kind and e[2] == mask]
 
-    assert violations == []
-    assert ids(findings, FULL5 ^ x) == ["T2_lower", "T4_ng_lower"]
-    assert ids(findings, x) == ["T2_lower"]
-    assert ids(hits, x) == ids(hits, FULL5 ^ x) == ["T6_identity", "L3_lambda1_lower"]
-    [t4] = [e for e in findings if e[3] == "T4_ng_lower"]
+    assert [e for e in entries if e[0] == verify_mod.VIOLATION] == []
+    assert ids(verify_mod.FINDING, FULL5 ^ x) == ["T2_lower", "T4_ng_lower"]
+    assert ids(verify_mod.FINDING, x) == ["T2_lower"]
+    assert ids(verify_mod.HIT, x) == ids(verify_mod.HIT, FULL5 ^ x) == [
+        "T6_identity", "L3_lambda1_lower"]
+    [t4] = [e for e in entries if e[3] == "T4_ng_lower"]
     ev = evaluate(Graph.from_pair_mask(5, rep))
     assert t4[4] == pair_report(ev, ev).slack  # the class's own pair
+    # the owner rule, a clear last pair bit, picks the smaller mask of
+    # every labeled pair on five vertices
+    side, owner = [(verify_mod.HIT, "side", None)], [(verify_mod.HIT, "owner", None)]
+    got = verify_mod._labeled(5, range(FULL5 + 1), side, owner)
+    assert [e[3] == "owner" for e in got] == [m < FULL5 ^ m for m in range(FULL5 + 1)]
 
 
 def test_t3_argmax_sanity_flags_a_complete_graph_on_top(monkeypatch):
@@ -613,8 +616,3 @@ def test_passed_property_reflects_violations():
     )
     assert not s.passed
 
-
-def test_complete_graph_ids():
-    assert [complete_graph_id(n) for n in range(2, 8)] == [
-        "A_", "Bw", "C~", "D~{", "E~~w", "F~~~w",
-    ]
