@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, complement, is_connected, twin_classes
-from .metric import DistanceMatrix, distance_matrix
+from .metric import DistanceMatrix, distance_matrix, involution
 from .numeric import EXP_OVERFLOW, log_sum_exp, safe_exp
 from .spectra import Spectrum, adjacency_matrix, distance_spectrum, eig_sym
 
@@ -224,7 +224,10 @@ class GraphEvaluation:
 
     delta1 >= delta2 are the two largest degrees (both 0 when n = 1).
     twins are the twin classes every solve of the graph's matrices, and
-    of its complement's, deflates.
+    of its complement's, deflates.  sigma, found only on twin-free
+    graphs, is an involutive automorphism of the graph, and so of its
+    complement, over which every such solve splits; None when there is
+    none to use.
     """
 
     graph: Graph
@@ -237,23 +240,46 @@ class GraphEvaluation:
     delta2: int
     comp: Graph
     twins: tuple[int, ...]
+    sigma: tuple[int, ...] | None
 
     @functools.cached_property
     def ee_complement(self) -> EstradaValue:
         """Estrada index of the complement's adjacency spectrum, solved on first use."""
-        return estrada_index(eig_sym(adjacency_matrix(self.comp), self.twins))
+        return estrada_index(eig_sym(adjacency_matrix(self.comp), self.twins, self.sigma))
 
     @functools.cached_property
     def comp_evaluation(self) -> GraphEvaluation | None:
-        """The complement's own evaluation, solved on first use; None when it is disconnected."""
-        return evaluate(self.comp) if is_connected(self.comp) else None
+        """The complement's own evaluation, solved on first use; None when it is disconnected.
+
+        The complement shares the graph's twin classes and sigma.
+        """
+        comp = self.comp
+        if not is_connected(comp):
+            return None
+        return _evaluation(comp, distance_matrix(comp), self.twins, self.sigma, self.graph)
+
+
+# the least order at which a twin-free graph's solves split over sigma
+SPLIT_MIN_N = 9
 
 
 def evaluate(g: Graph) -> GraphEvaluation:
     """Solve g's distance spectrum once and gather the facts every row reads."""
     dm = distance_matrix(g)
     twins = twin_classes(g)
-    s = distance_spectrum(dm, twins)
+    sigma = involution(dm) if len(twins) == g.n >= SPLIT_MIN_N else None
+    return _evaluation(g, dm, twins, sigma, complement(g))
+
+
+def _evaluation(
+    g: Graph,
+    dm: DistanceMatrix,
+    twins: tuple[int, ...],
+    sigma: tuple[int, ...] | None,
+    comp: Graph,
+) -> GraphEvaluation:
+    """g's evaluation from its distance matrix, twin classes, sigma and complement."""
+    s = distance_spectrum(dm, twins, sigma)
     degs = sorted(g.degrees(), reverse=True)
     return GraphEvaluation(
         graph=g,
@@ -264,8 +290,9 @@ def evaluate(g: Graph) -> GraphEvaluation:
         r=degs[0] if degs[0] == degs[-1] else None,
         delta1=degs[0] if g.n >= 2 else 0,
         delta2=degs[1] if g.n >= 2 else 0,
-        comp=complement(g),
+        comp=comp,
         twins=twins,
+        sigma=sigma,
     )
 
 

@@ -139,16 +139,18 @@ def to_graph6(g: Graph) -> str:
     """Encode as short-form graph6 (requires n < 63)."""
     if g.n > MAX_GRAPH6_N:
         raise GraphFormatError(f"graph6 short form supports n <= {MAX_GRAPH6_N}")
-    mask = g.pair_mask()
-    npairs = g.n * (g.n - 1) // 2
-    chars = [chr(g.n + 63)]
-    for k in range(0, npairs, 6):
-        group = 0
-        for b in range(6):
-            if k + b < npairs and mask >> (k + b) & 1:
-                group |= 1 << (5 - b)
-        chars.append(chr(group + 63))
-    return "".join(chars)
+    return graph6_from_mask(g.n, g.pair_mask())
+
+
+# graph6 character of each 6-bit chunk of a pair mask: its first pair is the high bit
+_G6_CHUNK = "".join(chr(63 + int(f"{x:06b}"[::-1], 2)) for x in range(64))
+
+
+def graph6_from_mask(n: int, mask: int) -> str:
+    """Short-form graph6 of the graph with pair mask mask, six pairs a character."""
+    return chr(n + 63) + "".join(
+        [_G6_CHUNK[mask >> k & 63] for k in range(0, n * (n - 1) // 2, 6)]
+    )
 
 
 # --- families ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graphs import DisconnectedGraphError, Graph
 
@@ -19,7 +20,11 @@ class DistanceMatrix:
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """BFS from every source; raises on any unreachable pair."""
+    """BFS from every source; raises on any unreachable pair.
+
+    A level's scan stops as soon as the neighbors gathered so far cover
+    every vertex.
+    """
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
@@ -34,6 +39,8 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
             while frontier:
                 v = (frontier & -frontier).bit_length() - 1
                 nxt |= adj[v]
+                if nxt | seen == full:
+                    break
                 frontier &= frontier - 1
             frontier = nxt & ~seen
             if frontier:
@@ -48,6 +55,41 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
             raise DisconnectedGraphError("distance matrix of a disconnected graph")
         rows.append(tuple(row))
     return DistanceMatrix(n=n, rows=tuple(rows))
+
+
+def involution(dm: DistanceMatrix) -> tuple[int, ...] | None:
+    """An automorphism sigma = sigma^-1 that moves some vertex, read off the rows, or None.
+
+    Vertices are grouped by their sorted distance rows, which any
+    automorphism preserves.  When a group has more than two members, the
+    least vertex of the first such group is held fixed and every group is
+    split by the distance to it.  Once no group has more than two
+    members, sigma swaps each pair; it is returned only when
+    D[sigma i][sigma j] = D[i][j] for all i, j, which makes it an
+    automorphism of the graph and of its complement.
+    """
+    rows = dm.rows
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, row in enumerate(rows):
+        groups.setdefault(tuple(sorted(row)), []).append(v)
+    big = next((members for members in groups.values() if len(members) > 2), None)
+    if big is not None:
+        pivot = rows[big[0]]
+        split: dict[tuple[int, int], list[int]] = {}
+        for k, members in enumerate(groups.values()):
+            for v in members:
+                split.setdefault((k, pivot[v]), []).append(v)
+        groups = split
+    pairs = [members for members in groups.values() if len(members) > 1]
+    if not pairs or any(len(members) > 2 for members in pairs):
+        return None
+    sigma = list(range(dm.n))
+    for u, v in pairs:
+        sigma[u], sigma[v] = v, u
+    permute = itemgetter(*sigma)
+    if any(permute(rows[s]) != row for s, row in zip(sigma, rows)):
+        return None
+    return tuple(sigma)
 
 
 def sum_sq_distances(dm: DistanceMatrix) -> int:

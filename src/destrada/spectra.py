@@ -14,6 +14,16 @@ are exact: -1 for adjacent and -2 for non-adjacent twins in the distance
 matrix, -1 and 0 in the adjacency matrix.  What remains is the symmetric
 quotient on the class indicator vectors, one row a class.  A twin-free
 graph's quotient is its own matrix, entry for entry, and K_n's is 1 x 1.
+
+A twin-free graph of order at least ``bounds.SPLIT_MIN_N`` may instead
+have an involutive automorphism sigma (``metric.involution``), which its
+complement shares.  Every matrix of either graph then commutes with the
+permutation sigma and is block diagonal in the basis of the fixed
+vertices' e_f and the pairs' (e_i + e_sigma(i))/sqrt(2), followed by the
+pairs' (e_i - e_sigma(i))/sqrt(2); the two blocks, of about n/2 rows
+each, are solved apart, which cuts the cubic work about four times
+(Cvetkovic, Rowlinson & Simic, An Introduction to the Theory of Graph
+Spectra, 2010, on symmetry and equitable partitions).
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ REGULAR_SPECTRUM_TOL = 1e-8
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 _MAX_QL_SWEEPS = 50
+_BIT = {"0": 0.0, "1": 1.0}
 
 
 class EigenConvergenceError(RuntimeError):
@@ -40,9 +51,9 @@ class EigenConvergenceError(RuntimeError):
 
 def adjacency_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
     """Rows of the 0/1 adjacency matrix as floats."""
+    width = f"0{g.n}b"
     return tuple(
-        tuple(1.0 if g.adj[i] >> j & 1 else 0.0 for j in range(g.n))
-        for i in range(g.n)
+        tuple([_BIT[c] for c in reversed(format(a, width))]) for a in g.adj
     )
 
 
@@ -178,6 +189,30 @@ def _quotient(
     return a, left_out
 
 
+def _split(
+    rows: Sequence[Sequence[float]], sigma: Sequence[int]
+) -> tuple[list[list[float]], list[list[float]]]:
+    """The two blocks of a symmetric matrix M that the involution sigma preserves.
+
+    With M[sigma i][sigma j] = M[i][j], M is block diagonal in the basis
+    e_f of the fixed vertices f and (e_i + e_sigma(i))/sqrt(2), then
+    (e_i - e_sigma(i))/sqrt(2), over the pairs i < sigma(i) = j.  The
+    even block has S_fg = M_fg, S_fi = sqrt(2) M_fi and S_ik = M_ik +
+    M_il for pairs (i, j), (k, l); the odd block has A_ik = M_ik - M_il.
+    """
+    fixed = [i for i, j in enumerate(sigma) if i == j]
+    pairs = [(i, j) for i, j in enumerate(sigma) if i < j]
+    r2 = math.sqrt(2.0)
+    even = [[float(rows[f][h]) for h in fixed] + [r2 * rows[f][i] for i, _ in pairs]
+            for f in fixed]
+    odd = []
+    for i, _ in pairs:
+        row = rows[i]
+        even.append([r2 * row[f] for f in fixed] + [float(row[k] + row[l]) for k, l in pairs])
+        odd.append([float(row[k] - row[l]) for k, l in pairs])
+    return even, odd
+
+
 def _eig_in_place(a: list[list[float]], n: int) -> list[float]:
     """Eigenvalues of the n x n symmetric matrix a, which is overwritten, in no order."""
     if n == 1:
@@ -187,30 +222,48 @@ def _eig_in_place(a: list[list[float]], n: int) -> list[float]:
     return d
 
 
-def _solve(rows: Sequence[Sequence[float]], twins: Sequence[int] | None) -> Spectrum:
-    a, values = _quotient(rows, twins)
-    values += _eig_in_place(a, len(a))
+def _solve(
+    rows: Sequence[Sequence[float]],
+    twins: Sequence[int] | None,
+    sigma: Sequence[int] | None,
+) -> Spectrum:
+    if sigma is None:
+        a, values = _quotient(rows, twins)
+        values += _eig_in_place(a, len(a))
+    else:
+        values = [v for block in _split(rows, sigma) for v in _eig_in_place(block, len(block))]
     values.sort(reverse=True)
     return Spectrum(values=tuple(values))
 
 
-def eig_sym(rows: Sequence[Sequence[float]], twins: Sequence[int] | None = None) -> Spectrum:
+def eig_sym(
+    rows: Sequence[Sequence[float]],
+    twins: Sequence[int] | None = None,
+    sigma: Sequence[int] | None = None,
+) -> Spectrum:
     """All eigenvalues of a symmetric matrix given by its rows, sorted non-increasing.
 
     twins, when given, are the twin classes of the graph that rows is
     the adjacency matrix of, or of its complement, and the solve runs on
-    their quotient.
+    their quotient.  sigma, when given, is an involution that preserves
+    rows (metric.involution), and the solve runs on its two blocks
+    instead.
     """
-    return _solve(rows, twins)
+    return _solve(rows, twins, sigma)
 
 
-def distance_spectrum(dm: DistanceMatrix, twins: Sequence[int] | None = None) -> Spectrum:
+def distance_spectrum(
+    dm: DistanceMatrix,
+    twins: Sequence[int] | None = None,
+    sigma: Sequence[int] | None = None,
+) -> Spectrum:
     """The distance matrix's eigenvalues, solved straight from its integer rows.
 
     twins, when given, are the graph's twin classes, and the solve runs
-    on their quotient.
+    on their quotient; sigma, when given, is an involution that preserves
+    the rows, and the solve runs on its two blocks instead.
     """
-    return _solve(dm.rows, twins)
+    return _solve(dm.rows, twins, sigma)
 
 
 def lemma1_check(s: Spectrum, ssq2: int) -> tuple[float, float]:

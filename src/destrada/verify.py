@@ -48,10 +48,10 @@ from .graphs import (
     PreconditionError,
     canonical_form,
     connected_classes,
+    graph6_from_mask,
     grow_classes,
     is_connected,
     labelings,
-    to_graph6,
 )
 from .metric import sum_sq_distances
 from .spectra import (
@@ -143,7 +143,7 @@ def _l2_residual(ev: GraphEvaluation) -> float:
     """
     if ev.r is None or ev.rho > 2:
         return 0.0
-    adj = eig_sym(adjacency_matrix(ev.graph), ev.twins)
+    adj = eig_sym(adjacency_matrix(ev.graph), ev.twins, ev.sigma)
     try:
         mapped = lemma2_spectrum(adj, ev.graph.n, ev.r)
     except ValueError:  # lambda_1(A) is not r
@@ -294,7 +294,7 @@ def _summarize(max_n: int, counts: dict[int, int], entries, ranked) -> Verificat
     argmax_rows = []
     for n in sorted(best_by_n):
         slack, mask = best_by_n[n]
-        argmax_rows.append((n, to_graph6(Graph.from_pair_mask(n, mask)), slack))
+        argmax_rows.append((n, graph6_from_mask(n, mask), slack))
         # the zero-slack complete graph can only top the chart when it is alone
         if n >= 3 and mask == (1 << (n * (n - 1) // 2)) - 1:
             entries.append((VIOLATION, n, mask, T3_ARGMAX, slack))
@@ -304,7 +304,7 @@ def _summarize(max_n: int, counts: dict[int, int], entries, ranked) -> Verificat
     by_kind = {VIOLATION: [], FINDING: [], HIT: []}
     for kind, n, mask, cid, slack in entries:
         if (n, mask) not in gids:
-            gids[n, mask] = to_graph6(Graph.from_pair_mask(n, mask))
+            gids[n, mask] = graph6_from_mask(n, mask)
         by_kind[kind].append((gids[n, mask], cid, slack))
     return VerificationSummary(
         population=f"connected labeled graphs with 2 <= n <= {max_n}",

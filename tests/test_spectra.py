@@ -8,16 +8,19 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from destrada.bounds import CATALOG_IDS, bound_report, evaluate
+from destrada.bounds import CATALOG_IDS, SPLIT_MIN_N, bound_report, evaluate
+from destrada.cli import main
 from destrada.graphs import (
     Graph,
     GraphFamily,
     complement,
     connected_pair_masks,
     generate,
+    parse_graph6,
+    to_graph6,
     twin_classes,
 )
-from destrada.metric import distance_matrix, sum_sq_distances
+from destrada.metric import distance_matrix, involution, sum_sq_distances
 from destrada.spectra import (
     EigenConvergenceError,
     Spectrum,
@@ -297,6 +300,94 @@ def test_sweep_budget_exhaustion_raises_on_a_twin_free_graph(monkeypatch, path):
         distance_spectrum(distance_matrix(p4), twins)
     with pytest.raises(EigenConvergenceError):
         evaluate(p4)
+
+
+# --- involution split -------------------------------------------------------------
+
+PATHS_AND_CYCLES = [GraphFamily(kind, n) for kind in ("path", "cycle") for n in range(9, 63)]
+
+
+def assert_is_involutive_automorphism(g: Graph, sigma) -> None:
+    assert sorted(sigma) == list(range(g.n))
+    assert all(sigma[sigma[v]] == v for v in range(g.n))
+    assert any(sigma[v] != v for v in range(g.n))
+    assert all(_moved(g.adj[v], sigma) == g.adj[sigma[v]] for v in range(g.n))
+
+
+def assert_split_solves_match_lapack(g: Graph, sigma) -> None:
+    """D(G), A(co-G) and D(co-G), split over sigma, against LAPACK."""
+    c = complement(g)
+    for dm in (distance_matrix(g), distance_matrix(c)):
+        assert_matches_lapack(distance_spectrum(dm, None, sigma).values, dm.rows)
+    a = adjacency_matrix(c)
+    assert_matches_lapack(eig_sym(a, None, sigma).values, a)
+
+
+@pytest.mark.parametrize("family", PATHS_AND_CYCLES, ids=lambda f: f.kind + str(f.n))
+def test_paths_and_cycles_split_over_an_involution(family):
+    g = generate(family)
+    ev = evaluate(g)
+    assert ev.sigma is not None and ev.comp_evaluation.sigma == ev.sigma
+    assert_is_involutive_automorphism(g, ev.sigma)
+    assert_split_solves_match_lapack(g, ev.sigma)
+
+
+@given(st.sampled_from(PATHS_AND_CYCLES), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_every_labeling_of_a_path_or_cycle_splits(family, rnd):
+    perm = list(range(family.n))
+    rnd.shuffle(perm)
+    h = _relabeled(generate(family), perm)
+    sigma = involution(distance_matrix(h))
+    assert sigma is not None
+    assert_is_involutive_automorphism(h, sigma)
+    assert_split_solves_match_lapack(h, sigma)
+
+
+def test_a_row_pairing_that_is_no_automorphism_falls_back_to_the_plain_solve():
+    # G(9, 0.2) with seed 356: twin-free, and the sorted distance rows pair
+    # three couples of vertices and leave three alone, but swapping the
+    # couples is not an automorphism
+    g = parse_graph6("H{?_{CW")
+    assert g == generate(GraphFamily("gnp", 9, p=0.2, seed=356)) and g.n >= SPLIT_MIN_N
+    assert len(twin_classes(g)) == g.n
+    dm = distance_matrix(g)
+    groups = {}
+    for v, row in enumerate(dm.rows):
+        groups.setdefault(tuple(sorted(row)), []).append(v)
+    pairing = list(range(g.n))
+    for members in groups.values():
+        assert len(members) <= 2
+        if len(members) == 2:
+            u, v = members
+            pairing[u], pairing[v] = v, u
+    assert pairing != list(range(g.n))
+    assert any(_moved(g.adj[v], pairing) != g.adj[pairing[v]] for v in range(g.n))
+    assert involution(dm) is None
+    ev = evaluate(g)
+    assert ev.sigma is None
+    assert ev.spectrum == distance_spectrum(dm)
+    assert ev.comp_evaluation.spectrum == distance_spectrum(distance_matrix(ev.comp))
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_compute_of_a_62_vertex_path_or_cycle_solves_no_block_over_32(kind, monkeypatch, capsys):
+    # DEE(G), EE(co-G) and the pair row's DEE(co-G) each split over sigma
+    # into blocks of 31 + 31 (the path) or 32 + 30 (the cycle)
+    import destrada.spectra as spectra_mod
+
+    sizes = []
+    real = spectra_mod._eig_in_place
+
+    def spying(a, n):
+        sizes.append(n)
+        return real(a, n)
+
+    monkeypatch.setattr(spectra_mod, "_eig_in_place", spying)
+    assert main(["compute", "--g6", to_graph6(generate(GraphFamily(kind, 62)))]) == 0
+    capsys.readouterr()
+    assert len(sizes) == 6 and sum(sizes) == 3 * 62
+    assert max(sizes) <= 32
 
 
 # --- independent oracle over the whole small population ----------------------
