@@ -223,11 +223,10 @@ class GraphEvaluation:
     """Shared per-graph work: distance spectrum, DEE, degree and complement facts.
 
     delta1 >= delta2 are the two largest degrees (both 0 when n = 1).
-    twins are the twin classes every solve of the graph's matrices, and
-    of its complement's, deflates.  sigma, found only on twin-free
-    graphs, is an involutive automorphism of the graph, and so of its
-    complement, over which every such solve splits; None when there is
-    none to use.
+    cells are the vertex masks over which every solve of the graph's
+    matrices, and of its complement's, runs (spectra._blocks): the twin
+    classes, or on a twin-free graph the orbits of an involutive
+    automorphism when there is one to use.
     """
 
     graph: Graph
@@ -239,47 +238,43 @@ class GraphEvaluation:
     delta1: int
     delta2: int
     comp: Graph
-    twins: tuple[int, ...]
-    sigma: tuple[int, ...] | None
+    cells: tuple[int, ...]
 
     @functools.cached_property
     def ee_complement(self) -> EstradaValue:
         """Estrada index of the complement's adjacency spectrum, solved on first use."""
-        return estrada_index(eig_sym(adjacency_matrix(self.comp), self.twins, self.sigma))
+        return estrada_index(eig_sym(adjacency_matrix(self.comp), self.cells))
 
     @functools.cached_property
     def comp_evaluation(self) -> GraphEvaluation | None:
         """The complement's own evaluation, solved on first use; None when it is disconnected.
 
-        The complement shares the graph's twin classes and sigma.
+        The complement shares the graph's cells.
         """
         comp = self.comp
         if not is_connected(comp):
             return None
-        return _evaluation(comp, distance_matrix(comp), self.twins, self.sigma, self.graph)
+        return _evaluation(comp, distance_matrix(comp), self.cells, self.graph)
 
 
-# the least order at which a twin-free graph's solves split over sigma
+# the least order at which a twin-free graph's solves split over an involution
 SPLIT_MIN_N = 9
 
 
 def evaluate(g: Graph) -> GraphEvaluation:
     """Solve g's distance spectrum once and gather the facts every row reads."""
     dm = distance_matrix(g)
-    twins = twin_classes(g)
-    sigma = involution(dm) if len(twins) == g.n >= SPLIT_MIN_N else None
-    return _evaluation(g, dm, twins, sigma, complement(g))
+    cells = twin_classes(g)
+    if len(cells) == g.n >= SPLIT_MIN_N:
+        cells = involution(dm) or cells
+    return _evaluation(g, dm, cells, complement(g))
 
 
 def _evaluation(
-    g: Graph,
-    dm: DistanceMatrix,
-    twins: tuple[int, ...],
-    sigma: tuple[int, ...] | None,
-    comp: Graph,
+    g: Graph, dm: DistanceMatrix, cells: tuple[int, ...], comp: Graph
 ) -> GraphEvaluation:
-    """g's evaluation from its distance matrix, twin classes, sigma and complement."""
-    s = distance_spectrum(dm, twins, sigma)
+    """g's evaluation from its distance matrix, cells and complement."""
+    s = distance_spectrum(dm, cells)
     degs = sorted(g.degrees(), reverse=True)
     return GraphEvaluation(
         graph=g,
@@ -291,8 +286,7 @@ def _evaluation(
         delta1=degs[0] if g.n >= 2 else 0,
         delta2=degs[1] if g.n >= 2 else 0,
         comp=comp,
-        twins=twins,
-        sigma=sigma,
+        cells=cells,
     )
 
 
@@ -472,11 +466,8 @@ def bound_report(g: Graph) -> tuple[BoundReport, ...]:
 
 @functools.cache
 def _dominance(n: int, m: int, rho: int, delta1: int, delta2: int) -> tuple[bool, bool]:
-    t3 = _t3_lower(n, _radical(n, delta1, delta2))
-    if t3.log_domain:
-        t3_beats = True
-    else:
-        t3_beats = t3.value >= _t1_lower(n, m).const - 1e-9
+    # in log domain the T3 value is inf, which beats any finite const
+    t3_beats = _t3_lower(n, _radical(n, delta1, delta2)).value >= _t1_lower(n, m).const - 1e-9
     t5_beats = _t5_upper(n, rho).log_value <= _t1_upper(n, rho).log_value + 1e-9
     return t3_beats, t5_beats
 

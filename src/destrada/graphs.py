@@ -125,13 +125,9 @@ def parse_graph6(line: str) -> Graph:
         )
     mask = 0
     for k, ch in enumerate(payload):
-        group = ord(ch) - 63
-        for b in range(6):
-            idx = 6 * k + b
-            if group >> (5 - b) & 1:
-                if idx >= npairs:
-                    raise GraphFormatError("graph6 padding bits must be zero")
-                mask |= 1 << idx
+        mask |= _G6_BITS[ch] << 6 * k
+    if mask >> npairs:
+        raise GraphFormatError("graph6 padding bits must be zero")
     return Graph.from_pair_mask(n, mask)
 
 
@@ -144,6 +140,7 @@ def to_graph6(g: Graph) -> str:
 
 # graph6 character of each 6-bit chunk of a pair mask: its first pair is the high bit
 _G6_CHUNK = "".join(chr(63 + int(f"{x:06b}"[::-1], 2)) for x in range(64))
+_G6_BITS = {ch: x for x, ch in enumerate(_G6_CHUNK)}
 
 
 def graph6_from_mask(n: int, mask: int) -> str:
@@ -278,16 +275,21 @@ def twin_classes(g: Graph) -> tuple[int, ...]:
     of its own.  Twins of g are twins of its complement, with the two
     kinds swapped, so both share these classes.
     """
+    return tuple(dict.fromkeys(_twin_class_of(g.adj)))  # keeps least-vertex order
+
+
+def _twin_class_of(adj: Sequence[int]) -> list[int]:
+    """The twin class of each vertex, as a vertex mask (see twin_classes)."""
     closed: dict[int, int] = {}
     opened: dict[int, int] = {}
-    for v, a in enumerate(g.adj):
+    for v, a in enumerate(adj):
         closed[a | 1 << v] = closed.get(a | 1 << v, 0) | 1 << v
         opened[a] = opened.get(a, 0) | 1 << v
-    classes: dict[int, None] = {}  # insertion order is least-vertex order
-    for v, a in enumerate(g.adj):
+    out = []
+    for v, a in enumerate(adj):
         c = closed[a | 1 << v]
-        classes[c if c & (c - 1) else opened[a]] = None
-    return tuple(classes)
+        out.append(c if c & (c - 1) else opened[a])
+    return out
 
 
 # --- exhaustive enumeration --------------------------------------------------
@@ -376,33 +378,19 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def _are_twins(adj: Sequence[int], cell: int) -> bool:
-    """True when every permutation of cell is an automorphism fixing the other vertices.
-
-    That holds when the cell is a clique or an independent set and its
-    vertices share their neighbors outside it.
-    """
-    members = _bits(cell)
-    first = adj[members[0].bit_length() - 1]
-    outside, clique = first & ~cell, bool(first & cell)
-    return all(
-        adj[b.bit_length() - 1] & ~cell == outside
-        and adj[b.bit_length() - 1] & cell == (cell ^ b if clique else 0)
-        for b in members
-    )
-
-
 def _canonical(adj: Sequence[int]) -> tuple[int, int]:
     """(canonical pair mask, |Aut|) by colour refinement and individualization.
 
     The search tree individualizes each vertex of the first non-singleton
     cell in turn and refines again; its leaves order the vertices, and the
     canonical mask is the smallest pair mask among them.  Automorphisms
-    permute the leaves freely, so |Aut| leaves reach that mask.  A cell of
-    twins is ordered at once, standing for its k! equal leaves.
+    permute the leaves freely, so |Aut| leaves reach that mask.  A cell
+    inside one twin class is ordered at once, standing for its k! equal
+    leaves, since every permutation of it is an automorphism.
     """
     n = len(adj)
     best, aut = -1, 0
+    twin_of = None
     stack = [(_refine(adj, [(1 << n) - 1] if n else []), 1)]
     while stack:
         cells, weight = stack.pop()
@@ -422,7 +410,9 @@ def _canonical(adj: Sequence[int]) -> tuple[int, int]:
                 aut += weight
             continue
         cell = cells[i]
-        if _are_twins(adj, cell):
+        if twin_of is None:
+            twin_of = _twin_class_of(adj)
+        if not cell & ~twin_of[(cell & -cell).bit_length() - 1]:
             stack.append((cells[:i] + _bits(cell) + cells[i + 1:],
                           weight * math.factorial(cell.bit_count())))
             continue

@@ -58,15 +58,17 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
 
 def involution(dm: DistanceMatrix) -> tuple[int, ...] | None:
-    """An automorphism sigma = sigma^-1 that moves some vertex, read off the rows, or None.
+    """The orbits of an automorphism sigma = sigma^-1 that moves some vertex, or None.
 
     Vertices are grouped by their sorted distance rows, which any
     automorphism preserves.  When a group has more than two members, the
     least vertex of the first such group is held fixed and every group is
     split by the distance to it.  Once no group has more than two
-    members, sigma swaps each pair; it is returned only when
+    members, sigma swaps each pair; it is used only when
     D[sigma i][sigma j] = D[i][j] for all i, j, which makes it an
-    automorphism of the graph and of its complement.
+    automorphism of the graph and of its complement.  The orbits are
+    vertex masks, the fixed vertices first, then the pairs by their
+    smaller vertex.
     """
     rows = dm.rows
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -89,7 +91,8 @@ def involution(dm: DistanceMatrix) -> tuple[int, ...] | None:
     permute = itemgetter(*sigma)
     if any(permute(rows[s]) != row for s, row in zip(sigma, rows)):
         return None
-    return tuple(sigma)
+    fixed = [1 << v for v, w in enumerate(sigma) if v == w]
+    return tuple(fixed + [1 << v | 1 << w for v, w in enumerate(sigma) if v < w])
 
 
 def sum_sq_distances(dm: DistanceMatrix) -> int:

@@ -5,25 +5,24 @@ implicit-shift QL iteration, written out here rather than delegated, so
 the same arithmetic runs everywhere the harness does.  No eigenvectors
 are accumulated; nothing downstream needs them.
 
-A graph's matrices are solved on the quotient over its twin classes
-(``graphs.twin_classes``).  Twins u, v have equal entries towards every
-other vertex, so each vector that is supported on one class and sums to
-zero there is an eigenvector, for alpha - beta, where alpha is the
-diagonal and beta the entry between the class's members.  Those values
-are exact: -1 for adjacent and -2 for non-adjacent twins in the distance
-matrix, -1 and 0 in the adjacency matrix.  What remains is the symmetric
-quotient on the class indicator vectors, one row a class.  A twin-free
-graph's quotient is its own matrix, entry for entry, and K_n's is 1 x 1.
-
-A twin-free graph of order at least ``bounds.SPLIT_MIN_N`` may instead
-have an involutive automorphism sigma (``metric.involution``), which its
-complement shares.  Every matrix of either graph then commutes with the
-permutation sigma and is block diagonal in the basis of the fixed
-vertices' e_f and the pairs' (e_i + e_sigma(i))/sqrt(2), followed by the
-pairs' (e_i - e_sigma(i))/sqrt(2); the two blocks, of about n/2 rows
-each, are solved apart, which cuts the cubic work about four times
-(Cvetkovic, Rowlinson & Simic, An Introduction to the Theory of Graph
-Spectra, 2010, on symmetry and equitable partitions).
+A graph's matrices are solved over its cells (``bounds.evaluate``): the
+twin classes (``graphs.twin_classes``), every permutation of which is an
+automorphism, or, on a twin-free graph of order at least
+``bounds.SPLIT_MIN_N``, the orbits {i, sigma(i)} of an involutive
+automorphism sigma (``metric.involution``).  The complement has the same
+automorphisms and so the same cells.  Every matrix of either graph then
+commutes with those permutations and is block diagonal in the basis of
+the cells' normalized indicator vectors (the even block), the 2-cells'
+(e_f - e_l)/sqrt(2) (the odd block), and, on each twin class of s >= 3
+members, s - 1 more vectors that sum to zero there, each an eigenvector
+for alpha - beta, where alpha is the diagonal and beta the entry between
+the members.  The odd block of twin pairs is diagonal, so every twin's
+value is exact: -1 for adjacent and -2 for non-adjacent twins in the
+distance matrix, -1 and 0 in the adjacency matrix.  A twin-free graph
+without sigma solves its own matrix, entry for entry, and K_n's even
+block is 1 x 1; sigma halves each block, which cuts the cubic work about
+four times (Cvetkovic, Rowlinson & Simic, An Introduction to the Theory
+of Graph Spectra, 2010, on symmetry and equitable partitions).
 """
 
 from __future__ import annotations
@@ -164,53 +163,36 @@ def _ql_implicit_shift(d: list[float], e: list[float], n: int) -> None:
                 e[m] = 0.0
 
 
-def _quotient(
-    rows: Sequence[Sequence[float]], twins: Sequence[int] | None
-) -> tuple[list[list[float]], list[float]]:
-    """(quotient matrix, the eigenvalues it leaves out) of a graph matrix over twin classes.
+def _blocks(
+    rows: Sequence[Sequence[float]], cells: Sequence[int] | None
+) -> tuple[list[list[list[float]]], list[float]]:
+    """(blocks, the eigenvalues no block holds) of a graph matrix M over its cells.
 
-    Class i, with least vertex c_i, size s_i and entry beta_i between its
-    members, has B_ii = alpha + (s_i - 1) beta_i, B_ij = sqrt(s_i s_j)
-    M[c_i][c_j], and leaves out alpha - beta_i, s_i - 1 times.
+    Cell i, a vertex mask with first vertex f_i, last vertex l_i and size
+    s_i, spans the even vector of its indicator over sqrt(s_i): B_ii =
+    M[f_i][f_i] + (s_i - 1) M[f_i][l_i] and B_ij = sqrt(s_i s_j)
+    (M[f_i][f_j] + M[f_i][l_j]) / 2.  The 2-cells (i, j), (k, l) also
+    span the odd block A_ik = M_ik - M_il.  A cell of three or more is a
+    twin class, and leaves out M[f][f] - M[f][l], s - 1 times.
     """
-    if twins is None or len(twins) == len(rows):
-        return [list(map(float, row)) for row in rows], []
-    reps = [(c & -c).bit_length() - 1 for c in twins]
-    sizes = [c.bit_count() for c in twins]
-    a = [[math.sqrt(si * sj) * rows[ci][cj] for cj, sj in zip(reps, sizes)]
-         for ci, si in zip(reps, sizes)]
+    if cells is None or len(cells) == len(rows):
+        return [[list(map(float, row)) for row in rows]], []
+    firsts = [(c & -c).bit_length() - 1 for c in cells]
+    lasts = [c.bit_length() - 1 for c in cells]
+    sizes = [c.bit_count() for c in cells]
+    # sqrt(s_i s_j) / 2 by s_i; halving before the product rounds the same as after
+    halves = {s: [math.sqrt(s * t) / 2 for t in sizes] for s in set(sizes)}
+    even = []
     left_out = []
-    for i, (c, ci, si) in enumerate(zip(twins, reps, sizes)):
-        if si > 1:
-            rest = c & (c - 1)  # the members but c_i
-            alpha, beta = rows[ci][ci], rows[ci][(rest & -rest).bit_length() - 1]
-            a[i][i] = float(alpha + (si - 1) * beta)
-            left_out += [float(alpha - beta)] * (si - 1)
-    return a, left_out
-
-
-def _split(
-    rows: Sequence[Sequence[float]], sigma: Sequence[int]
-) -> tuple[list[list[float]], list[list[float]]]:
-    """The two blocks of a symmetric matrix M that the involution sigma preserves.
-
-    With M[sigma i][sigma j] = M[i][j], M is block diagonal in the basis
-    e_f of the fixed vertices f and (e_i + e_sigma(i))/sqrt(2), then
-    (e_i - e_sigma(i))/sqrt(2), over the pairs i < sigma(i) = j.  The
-    even block has S_fg = M_fg, S_fi = sqrt(2) M_fi and S_ik = M_ik +
-    M_il for pairs (i, j), (k, l); the odd block has A_ik = M_ik - M_il.
-    """
-    fixed = [i for i, j in enumerate(sigma) if i == j]
-    pairs = [(i, j) for i, j in enumerate(sigma) if i < j]
-    r2 = math.sqrt(2.0)
-    even = [[float(rows[f][h]) for h in fixed] + [r2 * rows[f][i] for i, _ in pairs]
-            for f in fixed]
-    odd = []
-    for i, _ in pairs:
-        row = rows[i]
-        even.append([r2 * row[f] for f in fixed] + [float(row[k] + row[l]) for k, l in pairs])
-        odd.append([float(row[k] - row[l]) for k, l in pairs])
-    return even, odd
+    for i, (fi, li, si) in enumerate(zip(firsts, lasts, sizes)):
+        row = rows[fi]
+        even.append([h * (row[fj] + row[lj]) for h, fj, lj in zip(halves[si], firsts, lasts)])
+        even[i][i] = float(row[fi] + (si - 1) * row[li])
+        if si > 2:
+            left_out += [float(row[fi] - row[li])] * (si - 1)
+    pairs = [(f, l) for f, l, s in zip(firsts, lasts, sizes) if s == 2]
+    odd = [[float(rows[i][k] - rows[i][l]) for k, l in pairs] for i, _ in pairs]
+    return [even, odd] if odd else [even], left_out
 
 
 def _eig_in_place(a: list[list[float]], n: int) -> list[float]:
@@ -222,48 +204,31 @@ def _eig_in_place(a: list[list[float]], n: int) -> list[float]:
     return d
 
 
-def _solve(
-    rows: Sequence[Sequence[float]],
-    twins: Sequence[int] | None,
-    sigma: Sequence[int] | None,
-) -> Spectrum:
-    if sigma is None:
-        a, values = _quotient(rows, twins)
+def _solve(rows: Sequence[Sequence[float]], cells: Sequence[int] | None) -> Spectrum:
+    blocks, values = _blocks(rows, cells)
+    for a in blocks:
         values += _eig_in_place(a, len(a))
-    else:
-        values = [v for block in _split(rows, sigma) for v in _eig_in_place(block, len(block))]
     values.sort(reverse=True)
     return Spectrum(values=tuple(values))
 
 
-def eig_sym(
-    rows: Sequence[Sequence[float]],
-    twins: Sequence[int] | None = None,
-    sigma: Sequence[int] | None = None,
-) -> Spectrum:
+def eig_sym(rows: Sequence[Sequence[float]], cells: Sequence[int] | None = None) -> Spectrum:
     """All eigenvalues of a symmetric matrix given by its rows, sorted non-increasing.
 
-    twins, when given, are the twin classes of the graph that rows is
-    the adjacency matrix of, or of its complement, and the solve runs on
-    their quotient.  sigma, when given, is an involution that preserves
-    rows (metric.involution), and the solve runs on its two blocks
-    instead.
+    cells, when given, are the cells (GraphEvaluation.cells) of the graph
+    that rows is the adjacency matrix of, or of its complement, and the
+    solve runs on their blocks.
     """
-    return _solve(rows, twins, sigma)
+    return _solve(rows, cells)
 
 
-def distance_spectrum(
-    dm: DistanceMatrix,
-    twins: Sequence[int] | None = None,
-    sigma: Sequence[int] | None = None,
-) -> Spectrum:
+def distance_spectrum(dm: DistanceMatrix, cells: Sequence[int] | None = None) -> Spectrum:
     """The distance matrix's eigenvalues, solved straight from its integer rows.
 
-    twins, when given, are the graph's twin classes, and the solve runs
-    on their quotient; sigma, when given, is an involution that preserves
-    the rows, and the solve runs on its two blocks instead.
+    cells, when given, are the graph's cells, and the solve runs on
+    their blocks.
     """
-    return _solve(dm.rows, twins, sigma)
+    return _solve(dm.rows, cells)
 
 
 def lemma1_check(s: Spectrum, ssq2: int) -> tuple[float, float]:

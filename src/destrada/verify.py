@@ -143,7 +143,7 @@ def _l2_residual(ev: GraphEvaluation) -> float:
     """
     if ev.r is None or ev.rho > 2:
         return 0.0
-    adj = eig_sym(adjacency_matrix(ev.graph), ev.twins, ev.sigma)
+    adj = eig_sym(adjacency_matrix(ev.graph), ev.cells)
     try:
         mapped = lemma2_spectrum(adj, ev.graph.n, ev.r)
     except ValueError:  # lambda_1(A) is not r

@@ -4,10 +4,14 @@ A name that only tests use is not public API: it is dead weight that the
 library has to keep working.  A use is a load of the bare name or an
 attribute access by that name, anywhere in src/destrada/*.py other than
 __init__.py.  The benchmark's traced names in perfbench/spans.py count
-as uses too: the tracer wraps them by name.
+as uses too: the tracer wraps them by name.  The package itself
+re-exports nothing: every name is imported from its submodule.
 """
 
 import ast
+import importlib
+import pkgutil
+import types
 from pathlib import Path
 
 import destrada
@@ -57,9 +61,17 @@ def public_definitions() -> list[tuple[str, str]]:
     return found
 
 
-def test_every_export_has_a_non_test_caller():
-    unused = sorted(set(destrada.__all__) - used_names())
-    assert unused == [], f"exported but used only by tests: {unused}"
+def test_the_package_binds_only_its_submodules_and_version():
+    for info in pkgutil.iter_modules(destrada.__path__):
+        importlib.import_module(f"destrada.{info.name}")
+    public = {name: value for name, value in vars(destrada).items() if not name.startswith("_")}
+    strays = sorted(
+        name for name, value in public.items()
+        if not (isinstance(value, types.ModuleType) and value.__name__ == f"destrada.{name}")
+    )
+    assert strays == [], f"the package binds names besides its submodules: {strays}"
+    assert isinstance(destrada.__version__, str)
+    assert not hasattr(destrada, "__all__")
 
 
 def test_every_public_definition_has_a_non_test_caller():

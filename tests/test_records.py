@@ -102,9 +102,9 @@ def test_record_solves_the_complement_adjacency_spectrum_once(petersen, monkeypa
     calls = []
     real = spectra_mod.eig_sym
 
-    def counting(mat, twins, sigma):
+    def counting(mat, *args):
         calls.append(mat)
-        return real(mat, twins, sigma)
+        return real(mat, *args)
 
     for mod in (bounds_mod, records_mod, spectra_mod):
         if hasattr(mod, "eig_sym"):

@@ -211,6 +211,13 @@ def planted_twin_graphs(draw):
         cliques = [True]
     starts = [sum(sizes[:i]) for i in range(base.n + 1)]
     classes = [((1 << sizes[i]) - 1) << starts[i] for i in range(base.n)]
+    return blow_up(base, sizes, cliques), classes
+
+
+def blow_up(base: Graph, sizes, cliques) -> Graph:
+    """base with vertex i replaced by sizes[i] vertices, a clique when cliques[i]
+    and an independent set otherwise, joined to all of each neighbor's."""
+    starts = [sum(sizes[:i]) for i in range(base.n + 1)]
     edges = []
     for i in range(base.n):
         members = list(range(starts[i], starts[i + 1]))
@@ -219,7 +226,7 @@ def planted_twin_graphs(draw):
         for j in range(i + 1, base.n):
             if base.adj[i] >> j & 1:
                 edges += [(u, v) for u in members for v in range(starts[j], starts[j + 1])]
-    return Graph.from_edges(starts[-1], edges), classes
+    return Graph.from_edges(starts[-1], edges)
 
 
 def _relabeled(g: Graph, perm: list[int]) -> Graph:
@@ -251,6 +258,50 @@ def test_planted_twin_classes_deflate_to_the_lapack_spectrum(planted, rnd):
     assert set(twin_classes(h)) == {_moved(c, perm) for c in twins}
     moved = distance_spectrum(distance_matrix(h), twin_classes(h)).values
     assert all(abs(a - b) <= 1e-12 * max(1.0, abs(a)) for a, b in zip(got, moved))
+
+
+# (base, planted class sizes, which classes are cliques): each graph mixes
+# adjacent and non-adjacent twin pairs with a twin class of three or more
+MIXED_TWINS = [
+    (GraphFamily("path", 4), (2, 2, 3, 1), (True, False, True, False)),
+    (GraphFamily("cycle", 5), (2, 3, 2, 1, 2), (True, False, False, True, True)),
+    (GraphFamily.petersen(), (2, 1, 2, 3, 1, 2, 1, 1, 4, 1),
+     (True, True, False, False, True, True, True, True, True, False)),
+    (GraphFamily("cycle", 7), (5, 2, 1, 2, 1, 3, 2), (False, True, True, False, True, True, False)),
+]
+
+
+@pytest.mark.parametrize("base, sizes, cliques", MIXED_TWINS, ids=lambda x: getattr(x, "kind", None))
+def test_twin_pairs_solve_exactly_in_the_odd_block(base, sizes, cliques):
+    import destrada.spectra as spectra_mod
+
+    g = blow_up(generate(base), sizes, cliques)
+    cells = twin_classes(g)
+    # (size, members adjacent) of each class with two or more members
+    kinds = [(c.bit_count(), bool(g.adj[(c & -c).bit_length() - 1] & c))
+             for c in cells if c & (c - 1)]
+    assert {(2, True), (2, False)} <= set(kinds) and max(kinds)[0] >= 3
+    adjacent = sum(s - 1 for s, a in kinds if a)
+    apart = sum(s - 1 for s, a in kinds if not a)
+    pairs = [((c & -c).bit_length() - 1, c.bit_length() - 1) for c in cells if c.bit_count() == 2]
+    comp = complement(g)
+    # twins of g are twins of its complement, of the other kind
+    for h, d_exact, a_exact in (
+        (g, {-1.0: adjacent, -2.0: apart}, {-1.0: adjacent, 0.0: apart}),
+        (comp, {-1.0: apart, -2.0: adjacent}, {-1.0: apart, 0.0: adjacent}),
+    ):
+        dm = distance_matrix(h)
+        a = adjacency_matrix(h)
+        for rows, got, exact in ((dm.rows, distance_spectrum(dm, cells).values, d_exact),
+                                 (a, eig_sym(a, cells).values, a_exact)):
+            # one odd row a twin pair, diagonal, with alpha - beta on it
+            blocks, _ = spectra_mod._blocks(rows, cells)
+            assert blocks[1] == [[rows[i][i] - rows[i][l] if i == k else 0.0 for k, _ in pairs]
+                                 for i, l in pairs]
+            assert_matches_lapack(got, rows)
+            want = np.linalg.eigvalsh(np.array(rows, dtype=float))
+            for x, m in exact.items():
+                assert got.count(x) == m == np.sum(np.abs(want - x) <= 1e-9), (x, m)
 
 
 def test_twin_free_quotient_is_the_matrix_itself(petersen, path, cycle):
@@ -307,6 +358,22 @@ def test_sweep_budget_exhaustion_raises_on_a_twin_free_graph(monkeypatch, path):
 PATHS_AND_CYCLES = [GraphFamily(kind, n) for kind in ("path", "cycle") for n in range(9, 63)]
 
 
+def sigma_of(n: int, cells) -> list[int]:
+    """The involution whose orbits are cells, which must list the fixed
+    vertices first, then the pairs by their smaller vertex."""
+    assert sum(cells) == (1 << n) - 1 and sum(c.bit_count() for c in cells) == n
+    sizes = [c.bit_count() for c in cells]
+    assert sizes == sorted(sizes) and set(sizes) <= {1, 2}
+    firsts = [(c & -c).bit_length() - 1 for c in cells]
+    k = sizes.count(1)
+    assert firsts[:k] == sorted(firsts[:k]) and firsts[k:] == sorted(firsts[k:])
+    sigma = list(range(n))
+    for c in cells[k:]:
+        u, v = (c & -c).bit_length() - 1, c.bit_length() - 1
+        sigma[u], sigma[v] = v, u
+    return sigma
+
+
 def assert_is_involutive_automorphism(g: Graph, sigma) -> None:
     assert sorted(sigma) == list(range(g.n))
     assert all(sigma[sigma[v]] == v for v in range(g.n))
@@ -314,22 +381,24 @@ def assert_is_involutive_automorphism(g: Graph, sigma) -> None:
     assert all(_moved(g.adj[v], sigma) == g.adj[sigma[v]] for v in range(g.n))
 
 
-def assert_split_solves_match_lapack(g: Graph, sigma) -> None:
-    """D(G), A(co-G) and D(co-G), split over sigma, against LAPACK."""
+def assert_split_solves_match_lapack(g: Graph, cells) -> None:
+    """D(G), A(co-G) and D(co-G), split over the orbit cells, against LAPACK."""
     c = complement(g)
     for dm in (distance_matrix(g), distance_matrix(c)):
-        assert_matches_lapack(distance_spectrum(dm, None, sigma).values, dm.rows)
+        assert_matches_lapack(distance_spectrum(dm, cells).values, dm.rows)
     a = adjacency_matrix(c)
-    assert_matches_lapack(eig_sym(a, None, sigma).values, a)
+    assert_matches_lapack(eig_sym(a, cells).values, a)
 
 
 @pytest.mark.parametrize("family", PATHS_AND_CYCLES, ids=lambda f: f.kind + str(f.n))
 def test_paths_and_cycles_split_over_an_involution(family):
     g = generate(family)
     ev = evaluate(g)
-    assert ev.sigma is not None and ev.comp_evaluation.sigma == ev.sigma
-    assert_is_involutive_automorphism(g, ev.sigma)
-    assert_split_solves_match_lapack(g, ev.sigma)
+    # twin-free, so fewer cells than vertices means sigma's orbits
+    assert len(twin_classes(g)) == g.n > len(ev.cells)
+    assert ev.cells == involution(ev.dm) and ev.comp_evaluation.cells == ev.cells
+    assert_is_involutive_automorphism(g, sigma_of(g.n, ev.cells))
+    assert_split_solves_match_lapack(g, ev.cells)
 
 
 @given(st.sampled_from(PATHS_AND_CYCLES), st.randoms(use_true_random=False))
@@ -338,10 +407,10 @@ def test_every_labeling_of_a_path_or_cycle_splits(family, rnd):
     perm = list(range(family.n))
     rnd.shuffle(perm)
     h = _relabeled(generate(family), perm)
-    sigma = involution(distance_matrix(h))
-    assert sigma is not None
-    assert_is_involutive_automorphism(h, sigma)
-    assert_split_solves_match_lapack(h, sigma)
+    cells = involution(distance_matrix(h))
+    assert cells is not None
+    assert_is_involutive_automorphism(h, sigma_of(h.n, cells))
+    assert_split_solves_match_lapack(h, cells)
 
 
 def test_a_row_pairing_that_is_no_automorphism_falls_back_to_the_plain_solve():
@@ -365,7 +434,7 @@ def test_a_row_pairing_that_is_no_automorphism_falls_back_to_the_plain_solve():
     assert any(_moved(g.adj[v], pairing) != g.adj[pairing[v]] for v in range(g.n))
     assert involution(dm) is None
     ev = evaluate(g)
-    assert ev.sigma is None
+    assert ev.cells == twin_classes(g)
     assert ev.spectrum == distance_spectrum(dm)
     assert ev.comp_evaluation.spectrum == distance_spectrum(distance_matrix(ev.comp))
 
