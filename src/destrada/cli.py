@@ -19,13 +19,18 @@ from .graphs import (
     MAX_GRAPH6_N,
     DisconnectedGraphError,
     Graph,
-    GraphFamily,
     GraphFormatError,
     PreconditionError,
-    generate,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
     is_connected,
+    multipartite_graph,
     parse_edge_list,
     parse_graph6,
+    path_graph,
+    petersen_graph,
+    star_graph,
 )
 from .records import (
     bounds_to_csv,
@@ -42,6 +47,16 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
+# each sweep --family name and its builder, in the order --help lists them
+_FAMILIES = {
+    "complete": complete_graph,
+    "cycle": cycle_graph,
+    "path": path_graph,
+    "star": star_graph,
+    "multipartite": multipartite_graph,
+    "petersen": petersen_graph,
+    "gnp": gnp_graph,
+}
 # an edge-list file is read no further; the longest unpadded valid list,
 # on 62 vertices, is about 11 KB
 MAX_EDGE_LIST_CHARS = 1 << 20
@@ -120,10 +135,10 @@ def _check_order(n: int) -> None:
 
 
 def _sweep_graphs(args: argparse.Namespace) -> list[Graph]:
-    fam = args.family
-    if fam == "petersen":
-        return [generate(GraphFamily.petersen())]
-    if fam == "multipartite":
+    build = _FAMILIES[args.family]
+    if build is petersen_graph:
+        return [build()]
+    if build is multipartite_graph:
         if not args.parts:
             raise GraphFormatError("--parts is required for the multipartite family")
         try:
@@ -131,13 +146,13 @@ def _sweep_graphs(args: argparse.Namespace) -> list[Graph]:
         except ValueError as exc:
             raise GraphFormatError(f"bad --parts {args.parts!r}") from exc
         _check_order(sum(parts))
-        return [generate(GraphFamily.multipartite(parts))]
+        return [build(parts)]
     if not args.n:
-        raise GraphFormatError(f"--n is required for the {fam} family")
+        raise GraphFormatError(f"--n is required for the {args.family} family")
     lo, hi = _parse_range(args.n)
     _check_order(hi)
-    extra = {"p": args.p, "seed": args.seed} if fam == "gnp" else {}
-    return [generate(GraphFamily(fam, n=n, **extra)) for n in range(lo, hi + 1)]
+    extra = (args.p, args.seed) if build is gnp_graph else ()
+    return [build(n, *extra) for n in range(lo, hi + 1)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -191,10 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="records across a parametric graph family")
-    p.add_argument(
-        "--family", required=True,
-        choices=("complete", "cycle", "path", "star", "multipartite", "petersen", "gnp"),
-    )
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--n", help="vertex count N or inclusive range LO..HI")
     p.add_argument("--parts", help="comma-separated part sizes for multipartite")
     p.add_argument("--p", type=float, default=0.5, help="edge probability for gnp")

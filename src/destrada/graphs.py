@@ -1,6 +1,6 @@
 """Simple undirected graphs stored as per-vertex neighbor bitmasks.
 
-Parsing (edge list, graph6), family generators, complement, connectivity,
+Parsing (edge list, graph6), family builders, complement, connectivity,
 twin classes, the exhaustive enumeration of connected labeled pair masks,
 and the connected isomorphism classes with their labelings.  Edge bit
 ``j*(j-1)//2 + i`` for a pair ``i < j`` follows the graph6 column order,
@@ -152,88 +152,57 @@ def graph6_from_mask(n: int, mask: int) -> str:
 
 # --- families ---------------------------------------------------------------
 
-_FAMILY_KINDS = ("complete", "multipartite", "cycle", "path", "star", "petersen", "gnp")
+def _needs_order(family: str, n: int, least: int) -> None:
+    if n < least:
+        raise PreconditionError(f"{family} family needs n >= {least}")
 
 
-@dataclass(frozen=True)
-class GraphFamily:
-    """Declarative generator descriptor; validated on construction."""
-
-    kind: str
-    n: int | None = None
-    parts: tuple[int, ...] | None = None
-    p: float | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
-            raise PreconditionError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("complete", "path", "star"):
-            if self.n is None or self.n < 1:
-                raise PreconditionError(f"{self.kind} family needs n >= 1")
-        elif self.kind == "cycle":
-            if self.n is None or self.n < 3:
-                raise PreconditionError("cycle family needs n >= 3")
-        elif self.kind == "multipartite":
-            if self.parts is None or len(self.parts) < 2 or any(p < 1 for p in self.parts):
-                raise PreconditionError("multipartite family needs >= 2 parts, each >= 1")
-        elif self.kind == "gnp":
-            if self.n is None or self.n < 1:
-                raise PreconditionError("gnp family needs n >= 1")
-            if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise PreconditionError("gnp family needs p in [0, 1]")
-            if self.seed is None:
-                raise PreconditionError("gnp family needs a seed")
-
-    @classmethod
-    def multipartite(cls, parts): return cls("multipartite", parts=tuple(parts))
-
-    @classmethod
-    def petersen(cls): return cls("petersen")
+def complete_graph(n: int) -> Graph:
+    _needs_order("complete", n, 1)
+    return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
 
 
-def generate(family: GraphFamily) -> Graph:
-    """Build the standard labeled graph of a family."""
-    k = family.kind
-    if k == "complete":
-        n = family.n
-        return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
-    if k == "multipartite":
-        bounds = list(itertools.accumulate((0,) + family.parts))
-        n = bounds[-1]
-        part_of = [0] * n
-        for pi in range(len(family.parts)):
-            for v in range(bounds[pi], bounds[pi + 1]):
-                part_of[v] = pi
-        edges = [(i, j) for i, j in itertools.combinations(range(n), 2)
-                 if part_of[i] != part_of[j]]
-        return Graph.from_edges(n, edges)
-    if k == "cycle":
-        n = family.n
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, n - 1)])
-    if k == "path":
-        n = family.n
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if k == "star":
-        n = family.n
-        return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-    if k == "petersen":
-        edges = []
-        for i in range(5):
-            edges.append((i, (i + 1) % 5))          # outer cycle
-            edges.append((i, i + 5))                # spokes
-            edges.append((i + 5, (i + 2) % 5 + 5))  # inner pentagram
-        return Graph.from_edges(10, sorted(set(tuple(sorted(e)) for e in edges)))
-    if k == "gnp":
-        # pairs scanned in lexicographic (i, j) order, one PRNG draw each
-        rng = SplitMix64(family.seed)
-        edges = []
-        for i in range(family.n):
-            for j in range(i + 1, family.n):
-                if rng.next_float() < family.p:
-                    edges.append((i, j))
-        return Graph.from_edges(family.n, edges)
-    raise ValueError(f"unknown family kind {k!r}")
+def cycle_graph(n: int) -> Graph:
+    _needs_order("cycle", n, 3)
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    _needs_order("path", n, 1)
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(n: int) -> Graph:
+    _needs_order("star", n, 1)
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def multipartite_graph(parts: Sequence[int]) -> Graph:
+    """Complete multipartite graph on runs of consecutive vertices of the given sizes."""
+    if len(parts) < 2 or any(p < 1 for p in parts):
+        raise PreconditionError("multipartite family needs >= 2 parts, each >= 1")
+    part_of = [pi for pi, size in enumerate(parts) for _ in range(size)]
+    n = len(part_of)
+    edges = [(i, j) for i, j in itertools.combinations(range(n), 2) if part_of[i] != part_of[j]]
+    return Graph.from_edges(n, edges)
+
+
+def petersen_graph() -> Graph:
+    """The Petersen graph: outer cycle 0..4, spokes i -- i + 5, inner pentagram 5..9."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    return Graph.from_edges(10, edges)
+
+
+def gnp_graph(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from SplitMix64(seed): one draw a pair, pairs in lexicographic (i, j) order."""
+    _needs_order("gnp", n, 1)
+    if not 0.0 <= p <= 1.0:
+        raise PreconditionError("gnp family needs p in [0, 1]")
+    rng = SplitMix64(seed)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.next_float() < p]
+    return Graph.from_edges(n, edges)
 
 
 # --- structural queries ------------------------------------------------------

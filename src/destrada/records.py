@@ -9,51 +9,47 @@ so CSV cells never need quoting; the JSON emitter escapes backslashes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .bounds import CATALOG_IDS, BoundReport, comparisons_from, evaluate, reports_from
+from .bounds import (
+    CATALOG_IDS,
+    BoundReport,
+    GraphEvaluation,
+    comparisons_from,
+    evaluate,
+    reports_from,
+)
 from .graphs import Graph, to_graph6
 from .numeric import fmt15
-from .spectra import Spectrum
 from .verify import VerificationSummary
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """Everything the CLI emits for one graph."""
-
-    graph_id: str
-    n: int
-    m: int
-    rho: int
-    delta1: int
-    delta2: int
-    spectrum: Spectrum
-    dee: float
-    dee_log: float
-    dee_log_domain: bool
-    ee_complement: float
-    comparisons: tuple[bool, bool] | None
-    bounds: tuple[BoundReport, ...]
+# everything the CLI emits for one graph: its evaluation and its catalog rows
+Record = tuple[GraphEvaluation, tuple[BoundReport, ...]]
 
 
-def build_record(g: Graph) -> ReportRecord:
+def build_record(g: Graph) -> Record:
     ev = evaluate(g)
-    return ReportRecord(
-        graph_id=to_graph6(g),
-        n=g.n,
-        m=g.m,
-        rho=ev.rho,
-        delta1=ev.delta1,
-        delta2=ev.delta2,
-        spectrum=ev.spectrum,
-        dee=ev.dee.value,
-        dee_log=ev.dee.log_value,
-        dee_log_domain=ev.dee.overflowed,
-        ee_complement=ev.ee_complement.value,
-        comparisons=comparisons_from(ev) if g.n >= 2 else None,
-        bounds=reports_from(ev),
-    )
+    return ev, reports_from(ev)
+
+
+# the record's scalar fields in output order, each read off the evaluation
+_SCALARS = (
+    ("graph_id", lambda ev: to_graph6(ev.graph)),
+    ("n", lambda ev: ev.graph.n),
+    ("m", lambda ev: ev.graph.m),
+    ("rho", lambda ev: ev.rho),
+    ("delta1", lambda ev: ev.delta1),
+    ("delta2", lambda ev: ev.delta2),
+    ("dee", lambda ev: ev.dee.value),
+    ("dee_log", lambda ev: ev.dee.log_value),
+    ("dee_log_domain", lambda ev: ev.dee.overflowed),
+    ("ee_complement", lambda ev: ev.ee_complement.value),
+)
+
+
+def _comparisons(ev: GraphEvaluation) -> tuple[bool, bool] | tuple[None, None]:
+    """(t3_beats_t1, t5_beats_t1); neither is defined on one vertex."""
+    return comparisons_from(ev) if ev.graph.n >= 2 else (None, None)
 
 
 def _json(x: str | bool | int | float | None) -> str:
@@ -97,28 +93,16 @@ def _bound_json(r: BoundReport) -> str:
     return "{" + ", ".join(f'"{f}": {_json(v)}' for f, v in zip(BoundReport._fields, r)) + "}"
 
 
-def record_to_json(rec: ReportRecord) -> str:
-    spec = "[" + ", ".join(fmt15(v) for v in rec.spectrum.values) + "]"
-    t3_beats, t5_beats = rec.comparisons or (None, None)
+def record_to_json(rec: Record) -> str:
+    ev, rows = rec
+    fields = [f'"{name}": {_json(read(ev))}' for name, read in _SCALARS]
+    spec = "[" + ", ".join(fmt15(v) for v in ev.spectrum.values) + "]"
+    t3_beats, t5_beats = _comparisons(ev)
     cmp_s = f'{{"t3_beats_t1": {_json(t3_beats)}, "t5_beats_t1": {_json(t5_beats)}}}'
-    bounds = ",\n    ".join(_bound_json(b) for b in rec.bounds)
-    return (
-        "{\n"
-        f'  "graph_id": {_json(rec.graph_id)},\n'
-        f'  "n": {rec.n},\n'
-        f'  "m": {rec.m},\n'
-        f'  "rho": {rec.rho},\n'
-        f'  "delta1": {rec.delta1},\n'
-        f'  "delta2": {rec.delta2},\n'
-        f'  "spectrum": {spec},\n'
-        f'  "dee": {_json(rec.dee)},\n'
-        f'  "dee_log": {_json(rec.dee_log)},\n'
-        f'  "dee_log_domain": {_json(rec.dee_log_domain)},\n'
-        f'  "ee_complement": {_json(rec.ee_complement)},\n'
-        f'  "comparisons": {cmp_s},\n'
-        f'  "bounds": [\n    {bounds}\n  ]\n'
-        "}"
-    )
+    bounds = ",\n    ".join(_bound_json(b) for b in rows)
+    fields.insert(6, f'"spectrum": {spec}')  # the spectrum follows delta2
+    fields += [f'"comparisons": {cmp_s}', f'"bounds": [\n    {bounds}\n  ]']
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 # the bound row fields a record's CSV row repeats per catalog row
@@ -128,11 +112,8 @@ _RECORD_BOUND_FIELDS = [
 ]
 
 RECORD_CSV_HEADER = ",".join(
-    [
-        "graph_id", "n", "m", "rho", "delta1", "delta2",
-        "dee", "dee_log", "dee_log_domain", "ee_complement",
-        "t3_beats_t1", "t5_beats_t1",
-    ]
+    [name for name, _ in _SCALARS]
+    + ["t3_beats_t1", "t5_beats_t1"]
     + [
         f"{tid}_{BoundReport._fields[i].removesuffix('_value')}"
         for tid in CATALOG_IDS for i in _RECORD_BOUND_FIELDS
@@ -140,18 +121,13 @@ RECORD_CSV_HEADER = ",".join(
 )
 
 
-def record_to_csv_row(rec: ReportRecord) -> str:
-    cells = [
-        rec.graph_id, rec.n, rec.m, rec.rho, rec.delta1, rec.delta2,
-        rec.dee, rec.dee_log, rec.dee_log_domain, rec.ee_complement,
-        *(rec.comparisons or (None, None)),
-    ]
-    cells += [r[i] for r in rec.bounds for i in _RECORD_BOUND_FIELDS]
-    return ",".join(map(_cell, cells))
-
-
-def records_to_csv(recs: list[ReportRecord]) -> str:
-    return "\n".join([RECORD_CSV_HEADER] + [record_to_csv_row(r) for r in recs]) + "\n"
+def records_to_csv(recs: list[Record]) -> str:
+    lines = [RECORD_CSV_HEADER]
+    for ev, rows in recs:
+        cells = [read(ev) for _, read in _SCALARS] + list(_comparisons(ev))
+        cells += [r[i] for r in rows for i in _RECORD_BOUND_FIELDS]
+        lines.append(",".join(map(_cell, cells)))
+    return "\n".join(lines) + "\n"
 
 
 def bounds_to_json(reports: tuple[BoundReport, ...]) -> str:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from destrada.graphs import GraphFamily, generate
+from destrada.graphs import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 
 settings.register_profile(
     "desk",
@@ -13,24 +13,24 @@ settings.load_profile("desk")
 
 @pytest.fixture(scope="session")
 def k():
-    return lambda n: generate(GraphFamily("complete", n))
+    return complete_graph
 
 
 @pytest.fixture(scope="session")
 def cycle():
-    return lambda n: generate(GraphFamily("cycle", n))
+    return cycle_graph
 
 
 @pytest.fixture(scope="session")
 def path():
-    return lambda n: generate(GraphFamily("path", n))
+    return path_graph
 
 
 @pytest.fixture(scope="session")
 def star():
-    return lambda n: generate(GraphFamily("star", n))
+    return star_graph
 
 
 @pytest.fixture(scope="session")
 def petersen():
-    return generate(GraphFamily.petersen())
+    return petersen_graph()

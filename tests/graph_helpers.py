@@ -17,10 +17,9 @@ from destrada.bounds import CATALOG_IDS, T3_LOWER, bound_report
 from destrada.graphs import (
     MAX_ENUM_N,
     Graph,
-    GraphFamily,
     canonical_form,
+    complete_graph,
     connected_pair_masks,
-    generate,
     is_connected,
     parse_graph6,
     to_graph6,
@@ -35,7 +34,7 @@ def edges(g: Graph) -> list[tuple[int, int]]:
 
 
 def complete_graph_id(n: int) -> str:
-    return to_graph6(generate(GraphFamily("complete", n)))
+    return to_graph6(complete_graph(n))
 
 
 def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:

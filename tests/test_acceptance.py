@@ -21,7 +21,14 @@ from destrada.bounds import (
     lemma4_classify,
 )
 from destrada.cli import main
-from destrada.graphs import Graph, GraphFamily, complement, generate
+from destrada.graphs import (
+    Graph,
+    complement,
+    complete_graph,
+    cycle_graph,
+    multipartite_graph,
+    path_graph,
+)
 from destrada.metric import distance_matrix, sum_sq_distances
 from destrada.numeric import SplitMix64
 from destrada.records import summary_to_json
@@ -116,9 +123,9 @@ def test_criterion_05_least_eigenvalue_trichotomy(population7):
     assert violations_with(summary, "L4_contradiction") == []
     assert violations_with(summary, "EIG_convergence") == []
     # the three classes, exercised directly on one representative each
-    k5 = generate(GraphFamily("complete", 5))
-    k23 = generate(GraphFamily.multipartite((2, 3)))
-    p4 = generate(GraphFamily("path", 4))
+    k5 = complete_graph(5)
+    k23 = multipartite_graph((2, 3))
+    p4 = path_graph(4)
     classify = lambda g: lemma4_classify(g, distance_spectrum(distance_matrix(g)), complement(g))
     assert classify(k5) is DistSpectrumClass.COMPLETE
     assert classify(k23) is DistSpectrumClass.MULTIPARTITE
@@ -148,9 +155,9 @@ def test_criterion_08_lower_bound_dominance(population7):
 
 
 def test_criterion_09_regular_identity_families(regular_diam2_n8, petersen):
-    cases = [generate(GraphFamily("complete", n)) for n in range(2, 11)]
-    cases += [generate(GraphFamily.multipartite((m, m))) for m in range(1, 6)]
-    cases += [generate(GraphFamily("cycle", 5)), petersen]
+    cases = [complete_graph(n) for n in range(2, 11)]
+    cases += [multipartite_graph((m, m)) for m in range(1, 6)]
+    cases += [cycle_graph(5), petersen]
     cases += regular_diam2_n8
     # the catalog's own T6 evaluator: reports_from would also solve each
     # complement for the pair row, which this criterion does not read

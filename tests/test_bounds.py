@@ -30,7 +30,15 @@ from destrada.bounds import (
     pair_report,
     reports_from,
 )
-from destrada.graphs import Graph, GraphFamily, complement, generate
+from destrada.graphs import (
+    Graph,
+    complement,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
+)
 from destrada.metric import distance_matrix
 from destrada.spectra import Spectrum, adjacency_matrix, distance_spectrum, eig_sym
 
@@ -49,33 +57,29 @@ def by_id(reports):
     return {r.theorem_id: r for r in reports}
 
 
-def row_of(family, tid):
-    return by_id(bound_report(generate(family)))[tid]
-
-
 K23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 # --- frozen reference values -------------------------------------------------
 
 FROZEN_DEE = [
-    (GraphFamily("complete", 2), 3.08616126963049, 1e-11),
-    (GraphFamily("complete", 3), 8.12481498127353, 1e-11),
-    (GraphFamily("complete", 4), 21.1891752467020, 1e-11),
-    (GraphFamily("complete", 7), 405.636070139764, 1e-9),
-    (GraphFamily("cycle", 5), 404.939722263973, 1e-9),
-    (GraphFamily("path", 3), 15.9806210697704, 1e-11),
-    (GraphFamily("path", 4), 175.463938306734, 1e-9),
-    (GraphFamily("star", 4), 104.936518192989, 1e-9),
-    (GraphFamily.petersen(), 3269021.62140745, 1e-5),
+    ("complete2", complete_graph(2), 3.08616126963049, 1e-11),
+    ("complete3", complete_graph(3), 8.12481498127353, 1e-11),
+    ("complete4", complete_graph(4), 21.1891752467020, 1e-11),
+    ("complete7", complete_graph(7), 405.636070139764, 1e-9),
+    ("cycle5", cycle_graph(5), 404.939722263973, 1e-9),
+    ("path3", path_graph(3), 15.9806210697704, 1e-11),
+    ("path4", path_graph(4), 175.463938306734, 1e-9),
+    ("star4", star_graph(4), 104.936518192989, 1e-9),
+    ("petersen", petersen_graph(), 3269021.62140745, 1e-5),
 ]
 
 
 @pytest.mark.parametrize(
-    "family,want,tol", FROZEN_DEE, ids=lambda x: str(x) if not isinstance(x, GraphFamily) else x.kind + str(x.n or "")
+    "g,want,tol", [c[1:] for c in FROZEN_DEE], ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in FROZEN_DEE]
 )
-def test_distance_estrada_matches_frozen_values(family, want, tol):
-    got = evaluate(generate(family)).dee
+def test_distance_estrada_matches_frozen_values(g, want, tol):
+    got = evaluate(g).dee
     assert got.value == pytest.approx(want, abs=tol)
     assert not got.overflowed
     assert got.log_value == pytest.approx(math.log(want), rel=1e-12)
@@ -92,25 +96,25 @@ def test_complete_graph_closed_form(k):
 # the bound operand of each row; the 4-path is self-complementary, so its
 # pair row carries the n = 4 pair floor
 FROZEN_BOUNDS = [
-    ("pair_lower_k2", GraphFamily("complete", 2), "T1_lower", 2.82842712474619, 1e-12),
-    ("pair_lower_p3", GraphFamily("path", 3), "T1_lower", math.sqrt(17), 1e-12),
-    ("diam_upper_p3", GraphFamily("path", 3), "T1_upper", 136.152804930721, 1e-9),
-    ("mean_degree_lower_k3", GraphFamily("complete", 3), "T2_lower", 8.52439138216726, 1e-11),
-    ("mean_degree_lower_p3", GraphFamily("path", 3), "T2_lower", 15.4613995463727, 1e-11),
-    ("degree_profile_lower_c5", GraphFamily("cycle", 5), "T3_lower", 404.321314133329, 1e-9),
-    ("degree_profile_lower_star4", GraphFamily("star", 4), "T3_lower", 48.9106199103739, 1e-10),
-    ("pair_sum_lower_n4", GraphFamily("path", 4), "T4_ng_lower", 184.056480594120, 1e-9),
-    ("strict_upper_k2", GraphFamily("complete", 2), "T5_upper", 3.71828182845905, 1e-12),
-    ("strict_upper_k3", GraphFamily("complete", 3), "T5_upper", 11.3564690166011, 1e-11),
-    ("strict_upper_p3", GraphFamily("path", 3), "T5_upper", 123.004958405225, 1e-9),
-    ("spectral_radius_floor_c5", GraphFamily("cycle", 5), "L3_lambda1_lower", 6.0, 1e-12),
-    ("spectral_radius_floor_p4", GraphFamily("path", 4), "L3_lambda1_lower", 4.0, 1e-12),
+    ("pair_lower_k2", complete_graph(2), "T1_lower", 2.82842712474619, 1e-12),
+    ("pair_lower_p3", path_graph(3), "T1_lower", math.sqrt(17), 1e-12),
+    ("diam_upper_p3", path_graph(3), "T1_upper", 136.152804930721, 1e-9),
+    ("mean_degree_lower_k3", complete_graph(3), "T2_lower", 8.52439138216726, 1e-11),
+    ("mean_degree_lower_p3", path_graph(3), "T2_lower", 15.4613995463727, 1e-11),
+    ("degree_profile_lower_c5", cycle_graph(5), "T3_lower", 404.321314133329, 1e-9),
+    ("degree_profile_lower_star4", star_graph(4), "T3_lower", 48.9106199103739, 1e-10),
+    ("pair_sum_lower_n4", path_graph(4), "T4_ng_lower", 184.056480594120, 1e-9),
+    ("strict_upper_k2", complete_graph(2), "T5_upper", 3.71828182845905, 1e-12),
+    ("strict_upper_k3", complete_graph(3), "T5_upper", 11.3564690166011, 1e-11),
+    ("strict_upper_p3", path_graph(3), "T5_upper", 123.004958405225, 1e-9),
+    ("spectral_radius_floor_c5", cycle_graph(5), "L3_lambda1_lower", 6.0, 1e-12),
+    ("spectral_radius_floor_p4", path_graph(4), "L3_lambda1_lower", 4.0, 1e-12),
 ]
 
 
-@pytest.mark.parametrize("name,family,tid,want,tol", FROZEN_BOUNDS, ids=[c[0] for c in FROZEN_BOUNDS])
-def test_bound_operands_match_frozen_values(name, family, tid, want, tol):
-    r = row_of(family, tid)
+@pytest.mark.parametrize("name,g,tid,want,tol", FROZEN_BOUNDS, ids=[c[0] for c in FROZEN_BOUNDS])
+def test_bound_operands_match_frozen_values(name, g, tid, want, tol):
+    r = by_id(bound_report(g))[tid]
     assert not r.log_domain
     assert r.bound_value == pytest.approx(want, abs=tol)
 

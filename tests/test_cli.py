@@ -15,7 +15,7 @@ from destrada.cli import (
     MAX_EDGE_LIST_CHARS,
     main,
 )
-from destrada.graphs import GraphFamily, generate, to_graph6
+from destrada.graphs import path_graph, petersen_graph, to_graph6
 from destrada.verify import MAX_THREADS
 
 
@@ -43,7 +43,7 @@ def test_compute_reads_edge_list_files(capsys, tmp_path):
     code, out, _ = run(capsys, "compute", "--edges", str(path))
     assert code == EXIT_OK
     rec = json.loads(out)
-    assert rec["graph_id"] == to_graph6(generate(GraphFamily("path", 4)))
+    assert rec["graph_id"] == to_graph6(path_graph(4))
     assert rec["dee"] == pytest.approx(175.463938306734, abs=1e-9)
 
 
@@ -111,7 +111,7 @@ def test_sweep_petersen_is_a_single_record(capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert len(lines) == 2
-    assert lines[1].split(",")[0] == to_graph6(generate(GraphFamily.petersen()))
+    assert lines[1].split(",")[0] == to_graph6(petersen_graph())
 
 
 def test_sweep_multipartite_needs_parts(capsys):
@@ -147,6 +147,23 @@ def test_sweep_range_errors(capsys):
     assert run(capsys, "sweep", "--family", "cycle", "--n", "abc")[0] == EXIT_PARSE
     # family constraint: cycles need three vertices
     assert run(capsys, "sweep", "--family", "cycle", "--n", "2")[0] == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["complete", "--n", "0"], "complete family needs n >= 1", id="complete-n0"),
+    pytest.param(["path", "--n", "0"], "path family needs n >= 1", id="path-n0"),
+    pytest.param(["star", "--n", "0"], "star family needs n >= 1", id="star-n0"),
+    pytest.param(["cycle", "--n", "2"], "cycle family needs n >= 3", id="cycle-n2"),
+    pytest.param(["multipartite", "--parts", "4"],
+                 "multipartite family needs >= 2 parts, each >= 1", id="multipartite-one-part"),
+    pytest.param(["multipartite", "--parts", "2,0"],
+                 "multipartite family needs >= 2 parts, each >= 1", id="multipartite-empty-part"),
+    pytest.param(["gnp", "--n", "5", "--p", "1.5"], "gnp family needs p in [0, 1]", id="gnp-p-above-one"),
+    pytest.param(["gnp", "--n", "5", "--p=-0.1"], "gnp family needs p in [0, 1]", id="gnp-p-negative"),
+    pytest.param(["gnp", "--n", "5", "--p", "nan"], "gnp family needs p in [0, 1]", id="gnp-p-nan"),
+])
+def test_sweep_family_limits_exit_three(argv, message, capsys):
+    assert run(capsys, "sweep", "--family", *argv) == (EXIT_PRECONDITION, "", f"error: {message}\n")
 
 
 def test_sweep_rejects_disconnected_family_members(capsys):
@@ -276,6 +293,7 @@ def test_argparse_rejections_use_exit_code_two():
         ["compute"],                                  # no input source
         ["compute", "--g6", "A_", "--format", "xml"],  # unknown format
         ["nosuchcommand"],
+        ["sweep", "--family", "nosuch"],               # unknown family
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -18,15 +18,16 @@ from destrada.graphs import (
     MAX_ENUM_N,
     DisconnectedGraphError,
     Graph,
-    GraphFamily,
     GraphFormatError,
     canonical_form,
     complement,
+    complete_graph,
     connected_classes,
     connected_pair_masks,
-    generate,
+    gnp_graph,
     is_connected,
     labelings,
+    multipartite_graph,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -102,7 +103,7 @@ def test_graph6_matches_reference_decoder(g):
 
 def test_graph6_complete_graph_encodings():
     want = ["@", "A_", "Bw", "C~", "D~{", "E~~w", "F~~~w"]
-    got = [to_graph6(generate(GraphFamily("complete", n))) for n in range(1, 8)]
+    got = [to_graph6(complete_graph(n)) for n in range(1, 8)]
     assert got == want
 
 
@@ -182,7 +183,7 @@ def test_star_family_degrees(star):
 
 
 def test_multipartite_family_structure():
-    g = generate(GraphFamily.multipartite((2, 3)))
+    g = multipartite_graph((2, 3))
     assert (g.n, g.m) == (5, 6)
     assert (0, 1) not in edges(g)      # same part
     assert (2, 3) not in edges(g)
@@ -199,31 +200,14 @@ def test_petersen_family_matches_reference(petersen):
 
 
 def test_gnp_is_deterministic_for_a_seed():
-    a = generate(GraphFamily("gnp", n=12, p=0.4, seed=7))
-    b = generate(GraphFamily("gnp", n=12, p=0.4, seed=7))
+    a = gnp_graph(12, 0.4, 7)
+    b = gnp_graph(12, 0.4, 7)
     assert a == b
 
 
 def test_gnp_extreme_probabilities():
-    assert generate(GraphFamily("gnp", n=6, p=0.0, seed=1)).m == 0
-    assert generate(GraphFamily("gnp", n=6, p=1.0, seed=1)).m == 15
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: GraphFamily("nosuch", n=3),
-        lambda: GraphFamily("complete", 0),
-        lambda: GraphFamily("cycle", 2),
-        lambda: GraphFamily.multipartite((4,)),
-        lambda: GraphFamily.multipartite((2, 0)),
-        lambda: GraphFamily("gnp", n=5, p=1.5, seed=0),
-        lambda: GraphFamily("gnp", n=5, p=0.5, seed=None),
-    ],
-)
-def test_family_validation_rejects_bad_parameters(build):
-    with pytest.raises(ValueError):
-        build()
+    assert gnp_graph(6, 0.0, 1).m == 0
+    assert gnp_graph(6, 1.0, 1).m == 15
 
 
 # --- structural queries ------------------------------------------------------
@@ -260,7 +244,7 @@ def test_twin_classes_of_families(k, star, path):
     assert twin_classes(k(5)) == (0b11111,)
     assert twin_classes(star(5)) == (0b00001, 0b11110)
     assert twin_classes(path(4)) == (1, 2, 4, 8)
-    assert twin_classes(generate(GraphFamily.multipartite((2, 3)))) == (0b00011, 0b11100)
+    assert twin_classes(multipartite_graph((2, 3))) == (0b00011, 0b11100)
 
 
 @given(graphs())

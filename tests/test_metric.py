@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from destrada.graphs import (
     DisconnectedGraphError,
     Graph,
-    GraphFamily,
-    generate,
+    star_graph,
 )
 from destrada.metric import distance_matrix, sum_sq_distances
 from graph_helpers import edges
@@ -94,7 +93,7 @@ def test_cycle_distances_wrap_around(cycle):
 
 
 def test_sum_sq_distances_counts_unordered_pairs():
-    g = generate(GraphFamily("star", 4))
+    g = star_graph(4)
     dm = distance_matrix(g)
     # three pairs at distance 1 to the hub, three leaf pairs at distance 2
     assert sum_sq_distances(dm) == 3 * 1 + 3 * 4

@@ -5,7 +5,8 @@ library has to keep working.  A use is a load of the bare name or an
 attribute access by that name, anywhere in src/destrada/*.py other than
 __init__.py.  The benchmark's traced names in perfbench/spans.py count
 as uses too: the tracer wraps them by name.  The package itself
-re-exports nothing: every name is imported from its submodule.
+re-exports nothing: every name is imported from its submodule.  The
+README's Library example runs as written.
 """
 
 import ast
@@ -78,3 +79,9 @@ def test_every_public_definition_has_a_non_test_caller():
     callers = used_names() | traced_names()
     unused = [where for where, name in public_definitions() if name not in callers]
     assert unused == [], f"defined but called only by tests: {unused}"
+
+
+def test_the_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

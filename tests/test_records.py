@@ -11,7 +11,7 @@ import destrada.bounds as bounds_mod
 import destrada.records as records_mod
 import destrada.spectra as spectra_mod
 from destrada.bounds import CATALOG_IDS, bound_report, evaluate
-from destrada.graphs import Graph, GraphFamily, generate, to_graph6
+from destrada.graphs import Graph, path_graph, to_graph6
 from destrada.numeric import fmt15
 from destrada.records import (
     BOUNDS_CSV_HEADER,
@@ -19,7 +19,6 @@ from destrada.records import (
     bounds_to_csv,
     bounds_to_json,
     build_record,
-    record_to_csv_row,
     record_to_json,
     records_to_csv,
     summary_to_csv,
@@ -110,8 +109,10 @@ def test_record_solves_the_complement_adjacency_spectrum_once(petersen, monkeypa
         if hasattr(mod, "eig_sym"):
             monkeypatch.setattr(mod, "eig_sym", counting)
     rec = build_record(petersen)
+    record_to_json(rec)
+    records_to_csv([rec])
     assert len(calls) == 1
-    t6 = rec.bounds[CATALOG_IDS.index("T6_identity")]
+    t6 = rec[1][CATALOG_IDS.index("T6_identity")]
     assert t6.applicable and t6.holds
 
 
@@ -122,18 +123,17 @@ def test_record_json_is_deterministic(petersen):
 
 
 def test_overflowed_index_serializes_as_null_value():
-    g = generate(GraphFamily("path", 62))
-    rec = build_record(g)
-    assert rec.dee_log_domain
-    assert rec.dee == math.inf
-    assert rec.dee_log > 700.0
+    rec = build_record(path_graph(62))
+    dee = rec[0].dee
+    assert dee.overflowed
+    assert dee.value == math.inf
+    assert dee.log_value > 700.0
     parsed = json.loads(record_to_json(rec))
     assert parsed["dee"] is None
-    assert parsed["dee_log"] == pytest.approx(rec.dee_log, rel=1e-14)
+    assert parsed["dee_log"] == pytest.approx(dee.log_value, rel=1e-14)
     assert parsed["dee_log_domain"] is True
     # the CSV value cell degrades to inf; consumers should read dee_log
-    row = record_to_csv_row(rec)
-    cells = row.split(",")
+    cells = records_to_csv([rec]).splitlines()[1].split(",")
     assert cells[RECORD_CSV_HEADER.split(",").index("dee")] == "inf"
     assert cells[RECORD_CSV_HEADER.split(",").index("dee_log_domain")] == "true"
 
@@ -144,7 +144,7 @@ def test_record_csv_shape_and_cells(k):
     rec = build_record(k(4))
     header = RECORD_CSV_HEADER.split(",")
     assert len(header) == 12 + 9 * 7
-    row = record_to_csv_row(rec).split(",")
+    row = records_to_csv([rec]).splitlines()[1].split(",")
     assert len(row) == len(header)
     at = {name: row[i] for i, name in enumerate(header)}
     assert at["graph_id"] == "C~"

@@ -12,11 +12,16 @@ from destrada.bounds import CATALOG_IDS, SPLIT_MIN_N, bound_report, evaluate
 from destrada.cli import main
 from destrada.graphs import (
     Graph,
-    GraphFamily,
     complement,
+    complete_graph,
     connected_pair_masks,
-    generate,
+    cycle_graph,
+    gnp_graph,
+    multipartite_graph,
     parse_graph6,
+    path_graph,
+    petersen_graph,
+    star_graph,
     to_graph6,
     twin_classes,
 )
@@ -99,29 +104,27 @@ def test_adjacency_and_distance_views(cycle):
 
 # --- eigensolver correctness -------------------------------------------------
 
-DISTANCE_ORACLE_CASES = [
-    GraphFamily("path", 4),
-    GraphFamily("cycle", 5),
-    GraphFamily("complete", 4),
-    GraphFamily("star", 5),
-    GraphFamily.multipartite((2, 3)),
-    GraphFamily("cycle", 7),
-    GraphFamily("path", 7),
-]
+DISTANCE_ORACLE_CASES = {
+    "path4": path_graph(4),
+    "cycle5": cycle_graph(5),
+    "complete4": complete_graph(4),
+    "star5": star_graph(5),
+    "multipartite(2, 3)": multipartite_graph((2, 3)),
+    "cycle7": cycle_graph(7),
+    "path7": path_graph(7),
+}
 
 
-@pytest.mark.parametrize("family", DISTANCE_ORACLE_CASES, ids=lambda f: f.kind + str(f.n or f.parts))
-def test_distance_eigenvalues_match_exact_arithmetic(family):
-    g = generate(family)
+@pytest.mark.parametrize("g", DISTANCE_ORACLE_CASES.values(), ids=DISTANCE_ORACLE_CASES)
+def test_distance_eigenvalues_match_exact_arithmetic(g):
     dm = distance_matrix(g)
     want = sympy_eigenvalues(dm.rows)
     assert_spectra_close(distance_spectrum(dm).values, want)
     assert_spectra_close(distance_spectrum(dm, twin_classes(g)).values, want)
 
 
-@pytest.mark.parametrize("family", DISTANCE_ORACLE_CASES, ids=lambda f: f.kind + str(f.n or f.parts))
-def test_adjacency_eigenvalues_match_exact_arithmetic(family):
-    g = generate(family)
+@pytest.mark.parametrize("g", DISTANCE_ORACLE_CASES.values(), ids=DISTANCE_ORACLE_CASES)
+def test_adjacency_eigenvalues_match_exact_arithmetic(g):
     mat = adjacency_matrix(g)
     want = sympy_eigenvalues(mat)
     assert_spectra_close(eig_sym(mat).values, want)
@@ -169,12 +172,12 @@ def test_sweep_budget_exhaustion_raises(monkeypatch):
 # --- twin-class deflation -------------------------------------------------------
 
 # K_n, stars (K(1, n - 1)) and complete multipartite graphs up to 62 vertices
-TWIN_RICH = [GraphFamily("complete", n) for n in (2, 3, 10, 33, 62)] + [
-    GraphFamily.multipartite(parts) for parts in (
+TWIN_RICH = {f"complete{n}": complete_graph(n) for n in (2, 3, 10, 33, 62)} | {
+    f"multipartite{parts}": multipartite_graph(parts) for parts in (
         (1, 2), (1, 9), (1, 61), (1, 1, 2), (2, 3), (14, 14), (5, 5, 5, 5),
         (3, 7, 12), (31, 31), (10, 20, 30),
     )
-]
+}
 
 
 def assert_matches_lapack(got, rows):
@@ -184,9 +187,8 @@ def assert_matches_lapack(got, rows):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
-@pytest.mark.parametrize("family", TWIN_RICH, ids=lambda f: f.kind + str(f.n or f.parts))
-def test_deflated_spectra_match_lapack_on_twin_rich_graphs(family):
-    g = generate(family)
+@pytest.mark.parametrize("g", TWIN_RICH.values(), ids=TWIN_RICH)
+def test_deflated_spectra_match_lapack_on_twin_rich_graphs(g):
     twins = twin_classes(g)
     assert len(twins) < g.n
     dm = distance_matrix(g)
@@ -263,19 +265,23 @@ def test_planted_twin_classes_deflate_to_the_lapack_spectrum(planted, rnd):
 # (base, planted class sizes, which classes are cliques): each graph mixes
 # adjacent and non-adjacent twin pairs with a twin class of three or more
 MIXED_TWINS = [
-    (GraphFamily("path", 4), (2, 2, 3, 1), (True, False, True, False)),
-    (GraphFamily("cycle", 5), (2, 3, 2, 1, 2), (True, False, False, True, True)),
-    (GraphFamily.petersen(), (2, 1, 2, 3, 1, 2, 1, 1, 4, 1),
-     (True, True, False, False, True, True, True, True, True, False)),
-    (GraphFamily("cycle", 7), (5, 2, 1, 2, 1, 3, 2), (False, True, True, False, True, True, False)),
+    pytest.param(path_graph(4), (2, 2, 3, 1), (True, False, True, False),
+                 id="path-sizes0-cliques0"),
+    pytest.param(cycle_graph(5), (2, 3, 2, 1, 2), (True, False, False, True, True),
+                 id="cycle-sizes1-cliques1"),
+    pytest.param(petersen_graph(), (2, 1, 2, 3, 1, 2, 1, 1, 4, 1),
+                 (True, True, False, False, True, True, True, True, True, False),
+                 id="petersen-sizes2-cliques2"),
+    pytest.param(cycle_graph(7), (5, 2, 1, 2, 1, 3, 2), (False, True, True, False, True, True, False),
+                 id="cycle-sizes3-cliques3"),
 ]
 
 
-@pytest.mark.parametrize("base, sizes, cliques", MIXED_TWINS, ids=lambda x: getattr(x, "kind", None))
+@pytest.mark.parametrize("base, sizes, cliques", MIXED_TWINS)
 def test_twin_pairs_solve_exactly_in_the_odd_block(base, sizes, cliques):
     import destrada.spectra as spectra_mod
 
-    g = blow_up(generate(base), sizes, cliques)
+    g = blow_up(base, sizes, cliques)
     cells = twin_classes(g)
     # (size, members adjacent) of each class with two or more members
     kinds = [(c.bit_count(), bool(g.adj[(c & -c).bit_length() - 1] & c))
@@ -317,7 +323,7 @@ def test_twin_free_quotient_is_the_matrix_itself(petersen, path, cycle):
 
 def test_complete_graph_spectrum_is_exact():
     for n in range(2, 63):
-        g = generate(GraphFamily("complete", n))
+        g = complete_graph(n)
         want = (float(n - 1),) + (-1.0,) * (n - 1)
         assert evaluate(g).spectrum.values == want
         assert eig_sym(adjacency_matrix(g), twin_classes(g)).values == want
@@ -329,13 +335,13 @@ def test_complete_multipartite_minus_two_multiplicity_is_exact(parts):
     # with at most one part of size 1, the classes are the parts, and the
     # quotient plus 2I is diag(s) + sqrt(s) sqrt(s)^T, positive definite,
     # so -2 comes only from the twin classes: n - k times
-    s = evaluate(generate(GraphFamily.multipartite(parts))).spectrum.values
+    s = evaluate(multipartite_graph(parts)).spectrum.values
     assert s.count(-2.0) == sum(parts) - len(parts)
     assert min(v for v in s if v != -2.0) > -2.0 + 1e-6
 
 
 def test_complete_graph_bounds_meet_with_zero_slack():
-    rows = dict(zip(CATALOG_IDS, bound_report(generate(GraphFamily("complete", 62)))))
+    rows = dict(zip(CATALOG_IDS, bound_report(complete_graph(62))))
     for tid in ("T3_lower", "L3_lambda1_lower", "L4_class"):
         assert rows[tid].slack == 0.0 and rows[tid].equality, tid
 
@@ -355,7 +361,10 @@ def test_sweep_budget_exhaustion_raises_on_a_twin_free_graph(monkeypatch, path):
 
 # --- involution split -------------------------------------------------------------
 
-PATHS_AND_CYCLES = [GraphFamily(kind, n) for kind in ("path", "cycle") for n in range(9, 63)]
+PATHS_AND_CYCLES = {
+    f"{kind}{n}": build(n)
+    for kind, build in (("path", path_graph), ("cycle", cycle_graph)) for n in range(9, 63)
+}
 
 
 def sigma_of(n: int, cells) -> list[int]:
@@ -390,9 +399,8 @@ def assert_split_solves_match_lapack(g: Graph, cells) -> None:
     assert_matches_lapack(eig_sym(a, cells).values, a)
 
 
-@pytest.mark.parametrize("family", PATHS_AND_CYCLES, ids=lambda f: f.kind + str(f.n))
-def test_paths_and_cycles_split_over_an_involution(family):
-    g = generate(family)
+@pytest.mark.parametrize("g", PATHS_AND_CYCLES.values(), ids=PATHS_AND_CYCLES)
+def test_paths_and_cycles_split_over_an_involution(g):
     ev = evaluate(g)
     # twin-free, so fewer cells than vertices means sigma's orbits
     assert len(twin_classes(g)) == g.n > len(ev.cells)
@@ -401,12 +409,12 @@ def test_paths_and_cycles_split_over_an_involution(family):
     assert_split_solves_match_lapack(g, ev.cells)
 
 
-@given(st.sampled_from(PATHS_AND_CYCLES), st.randoms(use_true_random=False))
+@given(st.sampled_from(list(PATHS_AND_CYCLES.values())), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_every_labeling_of_a_path_or_cycle_splits(family, rnd):
-    perm = list(range(family.n))
+def test_every_labeling_of_a_path_or_cycle_splits(g, rnd):
+    perm = list(range(g.n))
     rnd.shuffle(perm)
-    h = _relabeled(generate(family), perm)
+    h = _relabeled(g, perm)
     cells = involution(distance_matrix(h))
     assert cells is not None
     assert_is_involutive_automorphism(h, sigma_of(h.n, cells))
@@ -418,7 +426,7 @@ def test_a_row_pairing_that_is_no_automorphism_falls_back_to_the_plain_solve():
     # three couples of vertices and leave three alone, but swapping the
     # couples is not an automorphism
     g = parse_graph6("H{?_{CW")
-    assert g == generate(GraphFamily("gnp", 9, p=0.2, seed=356)) and g.n >= SPLIT_MIN_N
+    assert g == gnp_graph(9, 0.2, 356) and g.n >= SPLIT_MIN_N
     assert len(twin_classes(g)) == g.n
     dm = distance_matrix(g)
     groups = {}
@@ -439,8 +447,8 @@ def test_a_row_pairing_that_is_no_automorphism_falls_back_to_the_plain_solve():
     assert ev.comp_evaluation.spectrum == distance_spectrum(distance_matrix(ev.comp))
 
 
-@pytest.mark.parametrize("kind", ["path", "cycle"])
-def test_compute_of_a_62_vertex_path_or_cycle_solves_no_block_over_32(kind, monkeypatch, capsys):
+@pytest.mark.parametrize("build", [path_graph, cycle_graph], ids=["path", "cycle"])
+def test_compute_of_a_62_vertex_path_or_cycle_solves_no_block_over_32(build, monkeypatch, capsys):
     # DEE(G), EE(co-G) and the pair row's DEE(co-G) each split over sigma
     # into blocks of 31 + 31 (the path) or 32 + 30 (the cycle)
     import destrada.spectra as spectra_mod
@@ -453,7 +461,7 @@ def test_compute_of_a_62_vertex_path_or_cycle_solves_no_block_over_32(kind, monk
         return real(a, n)
 
     monkeypatch.setattr(spectra_mod, "_eig_in_place", spying)
-    assert main(["compute", "--g6", to_graph6(generate(GraphFamily(kind, 62)))]) == 0
+    assert main(["compute", "--g6", to_graph6(build(62))]) == 0
     capsys.readouterr()
     assert len(sizes) == 6 and sum(sizes) == 3 * 62
     assert max(sizes) <= 32
@@ -501,11 +509,11 @@ def test_trace_identities_flag_a_wrong_spectrum(path):
 
 def regular_cases():
     return [
-        generate(GraphFamily("complete", 5)),
-        generate(GraphFamily("cycle", 4)),
-        generate(GraphFamily("cycle", 5)),
-        generate(GraphFamily.multipartite((3, 3))),
-        generate(GraphFamily.petersen()),
+        complete_graph(5),
+        cycle_graph(4),
+        cycle_graph(5),
+        multipartite_graph((3, 3)),
+        petersen_graph(),
     ]
 
 

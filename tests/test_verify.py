@@ -21,15 +21,14 @@ from destrada.bounds import SIGNATURE_ABS_TOL, evaluate, pair_report
 from destrada.cli import EXIT_VIOLATION, main
 from destrada.graphs import (
     Graph,
-    GraphFamily,
     PreconditionError,
     canonical_form,
     complement,
     connected_classes,
-    generate,
     is_connected,
     labelings,
     parse_graph6,
+    path_graph,
     to_graph6,
 )
 from destrada.metric import distance_matrix, sum_sq_distances
@@ -551,7 +550,7 @@ def test_pair_row_is_symmetric_in_its_two_graphs():
         for rep, comp_rep in verify_mod._owned_pairs(n, classes[n])
         if comp_rep is not None
     ]
-    p62 = generate(GraphFamily("path", 62))
+    p62 = path_graph(62)
     assert len(pairs) == 40
     for g, comp in [*pairs, (p62, complement(p62))]:
         ev, comp_ev = evaluate(g), evaluate(comp)
