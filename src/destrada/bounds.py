@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, complement, is_connected, twin_classes
 from .metric import DistanceMatrix, distance_matrix, involution
@@ -41,11 +40,6 @@ L4_CLASS = "L4_class"
 ASSERTED = "asserted"        # a violation: the run fails
 DESCRIPTIVE = "descriptive"  # a finding: reported, the run still passes
 
-# checks that relate rows to each other
-L3_EQUALITY_IFF = "L3_equality_iff"
-COMP_T3_VS_T1 = "COMP_t3_vs_t1"
-COMP_T5_VS_T1 = "COMP_t5_vs_t1"
-
 IDENTITY_REL_TOL = 1e-9       # identities and equality flags, relative
 SIGNATURE_ABS_TOL = 1e-8      # extreme-eigenvalue signatures, absolute
 STRICT_SLACK = 1e-6           # margin demanded before calling an inequality strict
@@ -54,12 +48,6 @@ LEAST_EIG_THRESHOLD = -2.383  # ceiling on lambda_n outside the two exact classe
 
 class SpectralMismatchError(RuntimeError):
     """Structural class and spectral signature disagree (solver or classifier bug)."""
-
-
-class DistSpectrumClass(Enum):
-    COMPLETE = "CompleteCase"
-    MULTIPARTITE = "MultipartiteCase"
-    BELOW_2383 = "Below2383"
 
 
 @dataclass(frozen=True)
@@ -147,18 +135,16 @@ def _t5_upper(n: int, rho: int) -> ExpBound:
     return ExpBound(const=float(n - 1), exponent=math.sqrt(n * (n - 1) * rho * rho - 1.0))
 
 
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def is_complete_multipartite(g: Graph, comp: Graph) -> bool:
-    """True when g's complement comp splits into disjoint cliques (>= 2 parts).
+def is_complete_multipartite(g: Graph) -> bool:
+    """True when g's complement splits into disjoint cliques (>= 2 parts).
 
     The complement is a union of cliques exactly when adjacent vertices
-    share their closed neighborhoods; it has a second part whenever g has
-    an edge.
+    share their closed neighborhoods, and a complement vertex's closed
+    neighborhood is everything g's adjacency leaves out of it; it has a
+    second part whenever g has an edge.
     """
-    closed = [a | 1 << v for v, a in enumerate(comp.adj)]
+    full = (1 << g.n) - 1
+    closed = [full ^ a for a in g.adj]
     for cv in closed:
         u = cv
         while u:
@@ -166,33 +152,6 @@ def is_complete_multipartite(g: Graph, comp: Graph) -> bool:
                 return False
             u &= u - 1
     return g.m > 0
-
-
-def lemma4_classify(g: Graph, s: Spectrum, comp: Graph) -> DistSpectrumClass:
-    """Trichotomy of the least distance eigenvalue, cross-checked structurally.
-
-    s is g's distance spectrum and comp its complement.  lambda_n = -1
-    exactly at complete graphs, -2 exactly at complete multipartite graphs
-    (n >= 3), and below -2.383 everywhere else; the class is decided from
-    the structure and the spectrum must agree.
-    """
-    if g.n < 2:
-        raise ValueError("classification needs n >= 2")
-    least = s.values[-1]
-    if is_complete(g):
-        cls = DistSpectrumClass.COMPLETE
-        ok = abs(least + 1.0) <= SIGNATURE_ABS_TOL
-    elif g.n >= 3 and is_complete_multipartite(g, comp):
-        cls = DistSpectrumClass.MULTIPARTITE
-        ok = abs(least + 2.0) <= SIGNATURE_ABS_TOL
-    else:
-        cls = DistSpectrumClass.BELOW_2383
-        ok = least < LEAST_EIG_THRESHOLD
-    if not ok:
-        raise SpectralMismatchError(
-            f"least distance eigenvalue {least!r} contradicts class {cls.value}"
-        )
-    return cls
 
 
 class BoundReport(NamedTuple):
@@ -237,8 +196,12 @@ class GraphEvaluation:
     r: int | None
     delta1: int
     delta2: int
-    comp: Graph
     cells: tuple[int, ...]
+
+    @functools.cached_property
+    def comp(self) -> Graph:
+        """The complement, built on first use."""
+        return complement(self.graph)
 
     @functools.cached_property
     def ee_complement(self) -> EstradaValue:
@@ -254,7 +217,7 @@ class GraphEvaluation:
         comp = self.comp
         if not is_connected(comp):
             return None
-        return _evaluation(comp, distance_matrix(comp), self.cells, self.graph)
+        return _evaluation(comp, distance_matrix(comp), self.cells)
 
 
 # the least order at which a twin-free graph's solves split over an involution
@@ -267,13 +230,11 @@ def evaluate(g: Graph) -> GraphEvaluation:
     cells = twin_classes(g)
     if len(cells) == g.n >= SPLIT_MIN_N:
         cells = involution(dm) or cells
-    return _evaluation(g, dm, cells, complement(g))
+    return _evaluation(g, dm, cells)
 
 
-def _evaluation(
-    g: Graph, dm: DistanceMatrix, cells: tuple[int, ...], comp: Graph
-) -> GraphEvaluation:
-    """g's evaluation from its distance matrix, cells and complement."""
+def _evaluation(g: Graph, dm: DistanceMatrix, cells: tuple[int, ...]) -> GraphEvaluation:
+    """g's evaluation from its distance matrix and cells."""
     s = distance_spectrum(dm, cells)
     degs = sorted(g.degrees(), reverse=True)
     return GraphEvaluation(
@@ -285,7 +246,6 @@ def _evaluation(
         r=degs[0] if degs[0] == degs[-1] else None,
         delta1=degs[0] if g.n >= 2 else 0,
         delta2=degs[1] if g.n >= 2 else 0,
-        comp=comp,
         cells=cells,
     )
 
@@ -406,30 +366,38 @@ def _l3_lambda1_lower_row(ev: GraphEvaluation) -> BoundReport:
 
 
 def _l4_class_row(ev: GraphEvaluation) -> BoundReport:
-    if ev.graph.n < 2:
+    """The least distance eigenvalue is -1 exactly at complete graphs, -2 exactly at
+    complete multipartite graphs (n >= 3) and below -2.383 everywhere else.
+
+    The class is decided from the structure; a spectrum that disagrees
+    raises SpectralMismatchError.
+    """
+    g = ev.graph
+    if g.n < 2:
         return _skip(L4_CLASS, False, _NEEDS_TWO)
-    cls = lemma4_classify(ev.graph, ev.spectrum, ev.comp)
     least = ev.spectrum.values[-1]
-    if cls is DistSpectrumClass.BELOW_2383:
-        slack = LEAST_EIG_THRESHOLD - least
-        return BoundReport(
-            L4_CLASS, True, LEAST_EIG_THRESHOLD, least, slack, slack > 0.0, False,
-            True, False, cls.value,
+    if g.m == g.n * (g.n - 1) // 2:
+        note, bound = "CompleteCase", -1.0
+    elif g.n >= 3 and is_complete_multipartite(g):
+        note, bound = "MultipartiteCase", -2.0
+    else:
+        note, bound = "Below2383", LEAST_EIG_THRESHOLD
+    # an exact class meets its value; the threshold is a strict ceiling
+    exact = bound != LEAST_EIG_THRESHOLD
+    slack = least - bound if exact else bound - least
+    if not (abs(slack) <= SIGNATURE_ABS_TOL if exact else slack > 0.0):
+        raise SpectralMismatchError(
+            f"least distance eigenvalue {least!r} contradicts class {note}"
         )
-    target = -1.0 if cls is DistSpectrumClass.COMPLETE else -2.0
-    slack = least - target
-    return BoundReport(
-        L4_CLASS, True, target, least, slack, abs(slack) <= SIGNATURE_ABS_TOL, True,
-        False, False, cls.value,
-    )
+    return BoundReport(L4_CLASS, True, bound, least, slack, True, exact, not exact, False, note)
 
 
 class CatalogRow(NamedTuple):
     """One catalog row.
 
-    verdict is ASSERTED or DESCRIPTIVE, or None for L4_class, whose
-    classifier raises SpectralMismatchError instead of reporting a failed
-    row.  equality_tracked rows have their equality cases collected.
+    verdict is ASSERTED or DESCRIPTIVE, or None for L4_class, which
+    raises SpectralMismatchError instead of reporting a failed row.
+    equality_tracked rows have their equality cases collected.
     """
 
     theorem_id: str
@@ -472,39 +440,14 @@ def _dominance(n: int, m: int, rho: int, delta1: int, delta2: int) -> tuple[bool
     return t3_beats, t5_beats
 
 
-def comparisons_from(ev: GraphEvaluation) -> tuple[bool, bool]:
+def comparisons_from(ev: GraphEvaluation) -> tuple[bool, bool] | tuple[None, None]:
     """The two bound-dominance claims: new lower beats old, new upper beats old.
 
     First flag: the degree-profile lower bound is at least sqrt(n^2 + 4m).
     Second: the diameter upper bound is at most n - 1 + e**(rho sqrt(n(n-1))),
-    compared on the log scale.
+    compared on the log scale.  Neither is defined on one vertex.
     """
     g = ev.graph
     if g.n < 2:
-        raise ValueError("comparison needs n >= 2")
+        return None, None
     return _dominance(g.n, g.m, ev.rho, ev.delta1, ev.delta2)
-
-
-def cross_checks(
-    ev: GraphEvaluation, reports: Iterable[BoundReport]
-) -> tuple[list[tuple[str, float]], float]:
-    """The checks that relate rows to each other, on a graph with n >= 2.
-
-    reports holds at least the T3_lower, T5_upper and L3_lambda1_lower
-    rows, looked up by id.  Returns the failed checks as (check id,
-    slack) and the T3_lower slack, by which the sweep ranks the graphs of
-    each order.  L3's structural equality flag must match numeric
-    equality both ways, and the two dominance claims of comparisons_from
-    must hold.
-    """
-    by_id = {r.theorem_id: r for r in reports}
-    r3, r5, rl3 = by_id[T3_LOWER], by_id[T5_UPPER], by_id[L3_LAMBDA1_LOWER]
-    failed = []
-    if bool(rl3.equality) != (abs(rl3.slack) <= SIGNATURE_ABS_TOL):
-        failed.append((L3_EQUALITY_IFF, rl3.slack))
-    t3_beats, t5_beats = comparisons_from(ev)
-    if not t3_beats:
-        failed.append((COMP_T3_VS_T1, r3.slack))
-    if not t5_beats:
-        failed.append((COMP_T5_VS_T1, r5.slack))
-    return failed, r3.slack

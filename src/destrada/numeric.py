@@ -2,9 +2,10 @@
 
 Quantities of the form ``c + e**x`` overflow float64 once ``x`` exceeds
 roughly 709.  Everything above ``EXP_OVERFLOW`` is carried in log domain
-instead, summed with ``math.fsum``.  No verdict needs a finer tie-break:
-each bound is settled by one slack test whose tolerance, 1e-9 relative,
-sits far above rounding level.
+instead, summed with ``math.fsum``.  A row whose bound shares lambda_1's
+exponential is judged against 1e-9 * e**lambda_1, far above its tails:
+Paley(17)'s T2_lower and T4_ng_lower print equality on exact slacks of
+-0.7457 and -1.4914 (ROADMAP item 3).
 """
 
 from __future__ import annotations

@@ -47,11 +47,6 @@ _SCALARS = (
 )
 
 
-def _comparisons(ev: GraphEvaluation) -> tuple[bool, bool] | tuple[None, None]:
-    """(t3_beats_t1, t5_beats_t1); neither is defined on one vertex."""
-    return comparisons_from(ev) if ev.graph.n >= 2 else (None, None)
-
-
 def _json(x: str | bool | int | float | None) -> str:
     """One JSON value: a non-finite float is null, like None."""
     if isinstance(x, str):
@@ -97,7 +92,7 @@ def record_to_json(rec: Record) -> str:
     ev, rows = rec
     fields = [f'"{name}": {_json(read(ev))}' for name, read in _SCALARS]
     spec = "[" + ", ".join(fmt15(v) for v in ev.spectrum.values) + "]"
-    t3_beats, t5_beats = _comparisons(ev)
+    t3_beats, t5_beats = comparisons_from(ev)
     cmp_s = f'{{"t3_beats_t1": {_json(t3_beats)}, "t5_beats_t1": {_json(t5_beats)}}}'
     bounds = ",\n    ".join(_bound_json(b) for b in rows)
     fields.insert(6, f'"spectrum": {spec}')  # the spectrum follows delta2
@@ -124,7 +119,7 @@ RECORD_CSV_HEADER = ",".join(
 def records_to_csv(recs: list[Record]) -> str:
     lines = [RECORD_CSV_HEADER]
     for ev, rows in recs:
-        cells = [read(ev) for _, read in _SCALARS] + list(_comparisons(ev))
+        cells = [read(ev) for _, read in _SCALARS] + list(comparisons_from(ev))
         cells += [r[i] for r in rows for i in _RECORD_BOUND_FIELDS]
         lines.append(",".join(map(_cell, cells)))
     return "\n".join(lines) + "\n"

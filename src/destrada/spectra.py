@@ -236,7 +236,8 @@ def lemma1_check(s: Spectrum, ssq2: int) -> tuple[float, float]:
 
     ssq2 is 2 * sum d_ij^2 over unordered pairs.  Returns (|sum of
     eigenvalues|, |sum of squares - ssq2|); a correct distance spectrum
-    keeps both below 1e-9 * max(1, ssq2).
+    keeps the first below 1e-9 and the second below 1e-9 * ssq2, the
+    rule verify's L1_identity check applies.
     """
     r_sum = abs(math.fsum(s.values))
     r_sumsq = abs(math.fsum([v * v for v in s.values]) - ssq2)

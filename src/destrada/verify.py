@@ -32,13 +32,16 @@ from .bounds import (
     ASSERTED,
     CATALOG,
     CATALOG_IDS,
+    L3_LAMBDA1_LOWER,
     SIGNATURE_ABS_TOL,
     STRICT_SLACK,
+    T3_LOWER,
     T4_NG_LOWER,
+    T5_UPPER,
     BoundReport,
     GraphEvaluation,
     SpectralMismatchError,
-    cross_checks,
+    comparisons_from,
     evaluate,
     pair_report,
 )
@@ -65,7 +68,10 @@ from .spectra import (
 # check ids beyond the bound catalog
 L1_IDENTITY = "L1_identity"
 L2_TRANSFORM = "L2_transform"
+L3_EQUALITY_IFF = "L3_equality_iff"
 L4_CONTRADICTION = "L4_contradiction"
+COMP_T3_VS_T1 = "COMP_t3_vs_t1"
+COMP_T5_VS_T1 = "COMP_t5_vs_t1"
 EIG_FAILURE = "EIG_convergence"
 T3_ARGMAX = "T3_argmax_sanity"
 # entry kinds
@@ -74,6 +80,9 @@ VIOLATION, FINDING, HIT = "violation", "finding", "hit"
 _T4_ROW = CATALOG[CATALOG_IDS.index(T4_NG_LOWER)]
 # the rows each graph is checked on alone; _check_pair adds the pair row
 _SIDE_ROWS = tuple(row for row in CATALOG if row is not _T4_ROW)
+# where the rows that the cross-checks read sit among _SIDE_ROWS
+_T3_AT, _T5_AT, _L3_AT = map([row.theorem_id for row in _SIDE_ROWS].index,
+                             (T3_LOWER, T5_UPPER, L3_LAMBDA1_LOWER))
 # worker processes; a larger --threads is rejected before any fork
 MAX_THREADS = 64
 
@@ -161,7 +170,9 @@ def _check_graph(ev: GraphEvaluation | None) -> tuple[list, float]:
 
     ev is the graph's evaluation, None when its solve failed.  A failed
     adjacency solve, of T6's complement or of the L2 transform, fails the
-    graph the same way.
+    graph the same way.  L3's structural equality flag must match numeric
+    equality both ways, and comparisons_from's two claims must hold.  The
+    T3 slack ranks the graphs of each order.
     """
     if ev is None:
         return _failure(EIG_FAILURE), math.nan
@@ -172,11 +183,19 @@ def _check_graph(ev: GraphEvaluation | None) -> tuple[list, float]:
         return _failure(EIG_FAILURE), math.nan
     except SpectralMismatchError:
         return _failure(L4_CONTRADICTION), math.nan
-    failed, t3_slack = cross_checks(ev, reports)
+    r3, r5, rl3 = reports[_T3_AT], reports[_T5_AT], reports[_L3_AT]
+    failed = []
+    if bool(rl3.equality) != (abs(rl3.slack) <= SIGNATURE_ABS_TOL):
+        failed.append((L3_EQUALITY_IFF, rl3.slack))
+    t3_beats, t5_beats = comparisons_from(ev)
+    if not t3_beats:
+        failed.append((COMP_T3_VS_T1, r3.slack))
+    if not t5_beats:
+        failed.append((COMP_T5_VS_T1, r5.slack))
     failed += _trace_residuals(ev)
     if l2 > SIGNATURE_ABS_TOL:
         failed.append((L2_TRANSFORM, l2))
-    return _verdicts(_SIDE_ROWS, reports) + [(VIOLATION, *e) for e in failed], t3_slack
+    return _verdicts(_SIDE_ROWS, reports) + [(VIOLATION, *e) for e in failed], r3.slack
 
 
 def _check_pair(n: int, rep: int, comp_rep: int | None):

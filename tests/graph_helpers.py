@@ -1,7 +1,8 @@
 """Graph helpers that only the tests need.
 
 edges() lists a graph's edges for networkx and other reference code;
-complete_graph_id() is K_n's graph6 id; enumerate_regular() generates
+complete_graph_id() is K_n's graph6 id; paley_graph() builds the Paley
+graph of a prime; enumerate_regular() generates
 the labeled regular graphs on up to 8 vertices that acceptance criteria
 03 and 09 sweep; labeled_sweep() is the labeled reference for the class
 sweep of verify_population(), and assert_same_up_to_rounding() compares
@@ -35,6 +36,12 @@ def edges(g: Graph) -> list[tuple[int, int]]:
 
 def complete_graph_id(n: int) -> str:
     return to_graph6(complete_graph(n))
+
+
+def paley_graph(p: int) -> Graph:
+    """The Paley graph of a prime p = 1 mod 4: i ~ j when j - i is a nonzero square mod p."""
+    squares = {x * x % p for x in range(1, p)}
+    return Graph.from_edges(p, [(i, j) for j in range(p) for i in range(j) if (j - i) % p in squares])
 
 
 def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:

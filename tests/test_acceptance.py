@@ -15,15 +15,12 @@ import pytest
 from destrada.bounds import (
     CATALOG,
     CATALOG_IDS,
-    DistSpectrumClass,
     bound_report,
     evaluate,
-    lemma4_classify,
 )
 from destrada.cli import main
 from destrada.graphs import (
     Graph,
-    complement,
     complete_graph,
     cycle_graph,
     multipartite_graph,
@@ -126,10 +123,10 @@ def test_criterion_05_least_eigenvalue_trichotomy(population7):
     k5 = complete_graph(5)
     k23 = multipartite_graph((2, 3))
     p4 = path_graph(4)
-    classify = lambda g: lemma4_classify(g, distance_spectrum(distance_matrix(g)), complement(g))
-    assert classify(k5) is DistSpectrumClass.COMPLETE
-    assert classify(k23) is DistSpectrumClass.MULTIPARTITE
-    assert classify(p4) is DistSpectrumClass.BELOW_2383
+    l4 = lambda g: bound_report(g)[CATALOG_IDS.index("L4_class")]
+    assert (l4(k5).note, l4(k5).bound_value, l4(k5).equality) == ("CompleteCase", -1.0, True)
+    assert (l4(k23).note, l4(k23).bound_value, l4(k23).equality) == ("MultipartiteCase", -2.0, True)
+    assert (l4(p4).note, l4(p4).bound_value, l4(p4).equality) == ("Below2383", -2.383, False)
 
 
 def test_criterion_06_degree_profile_lower_bound_and_equality_set(population7):

@@ -295,6 +295,20 @@ def test_each_distance_spectrum_is_solved_once(spied7):
     )
 
 
+def test_a_sweep_builds_only_the_complements_that_t6_reads(monkeypatch):
+    # the complement is built on first use: in a sweep only T6_identity's
+    # adjacency solve of it reads it, once per regular diameter-<=2 class,
+    # and the L4 class is decided from each graph's own adjacency
+    built = []
+    real = bounds_mod.complement
+    monkeypatch.setattr(bounds_mod, "complement", lambda g: built.append(g) or real(g))
+    verify_population(6)
+    classes = connected_classes(6)
+    t6 = [(n, m) for n in range(2, 7) for m, _ in classes[n]
+          if _is_regular_diameter_two(Graph.from_pair_mask(n, m))]
+    assert sorted((g.n, g.pair_mask()) for g in built) == sorted(t6)
+
+
 def test_every_solved_distance_spectrum_matches_lapack(spied7):
     # the LAPACK oracle on each of the 995 spectra the sweep solves up to
     # n = 7: numpy eigvalsh within 1e-9 and the trace and second-moment
@@ -593,13 +607,13 @@ def test_t3_argmax_sanity_flags_a_complete_graph_on_top(monkeypatch):
     # a complete graph meets the T3 bound with slack 0, so it tops the
     # chart of an order n >= 3 only when the ranking is broken: K7 forced
     # to the top at n = 7 is the T3_argmax_sanity violation
-    real = verify_mod.cross_checks
+    real = verify_mod._check_graph
 
-    def boosted(ev, reports):
-        failed, t3_slack = real(ev, reports)
-        return failed, 1e12 if ev.graph.n == 7 and ev.graph.m == 21 else t3_slack
+    def boosted(ev):
+        entries, t3_slack = real(ev)
+        return entries, 1e12 if ev.graph.n == 7 and ev.graph.m == 21 else t3_slack
 
-    monkeypatch.setattr(verify_mod, "cross_checks", boosted)
+    monkeypatch.setattr(verify_mod, "_check_graph", boosted)
     summary = verify_population(7)
     k7 = complete_graph_id(7)
     assert summary.t3_argmax[-1] == (7, k7, 1e12)
