@@ -313,25 +313,46 @@ def connected_pair_masks(n: int) -> Iterator[int]:
 def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
     """Split cells by neighbor counts into each cell until the partition is equitable.
 
-    A split cell is replaced by its fragments in ascending count order.
+    cells partition adj's vertices.  A split cell is replaced by its
+    fragments in ascending count order, and the scan for a splitter
+    restarts at the first cell.  A cell once used as a splitter is passed
+    over: every later cell lies inside a cell already homogeneous with
+    respect to it, so it can split nothing again.  A one-vertex splitter
+    splits a cell into its non-neighbors, then its neighbors.  Nothing
+    splits once every cell is a singleton.
     """
+    n = len(adj)
+    used = set()
     k = 0
-    while k < len(cells):
+    while k < len(cells) < n:
         splitter = cells[k]
+        if splitter in used:
+            k += 1
+            continue
+        used.add(splitter)
         out = []
-        for cell in cells:
-            if cell & (cell - 1):
-                parts: dict[int, int] = {}
-                rest = cell
-                while rest:
-                    b = rest & -rest
-                    c = (adj[b.bit_length() - 1] & splitter).bit_count()
-                    parts[c] = parts.get(c, 0) | b
-                    rest ^= b
-                if len(parts) > 1:
-                    out.extend(parts[c] for c in sorted(parts))
-                    continue
-            out.append(cell)
+        if not splitter & (splitter - 1):
+            nb = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                x = cell & nb
+                if x and x != cell:
+                    out += (cell ^ x, x)
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1):
+                    parts: dict[int, int] = {}
+                    rest = cell
+                    while rest:
+                        b = rest & -rest
+                        c = (adj[b.bit_length() - 1] & splitter).bit_count()
+                        parts[c] = parts.get(c, 0) | b
+                        rest ^= b
+                    if len(parts) > 1:
+                        out.extend(parts[c] for c in sorted(parts))
+                        continue
+                out.append(cell)
         k = 0 if len(out) > len(cells) else k + 1
         cells = out
     return cells
@@ -395,34 +416,69 @@ def canonical_form(n: int, mask: int) -> tuple[int, int]:
     return _canonical(_mask_adjacency(n, mask))
 
 
-def _is_parent_vertex(adj: Sequence[int], v: int) -> bool:
-    """Whether v has the least degree among the vertices whose removal keeps adj connected.
+def _rank(adj: Sequence[int], u: int) -> tuple[list[int], int]:
+    """u's ascending neighbor degrees and its triangle count (twice over)."""
+    a = adj[u]
+    nbrs = [adj[b.bit_length() - 1] for b in _bits(a)]
+    return sorted([w.bit_count() for w in nbrs]), sum([(w & a).bit_count() for w in nbrs])
 
-    v itself must be such a non-cut vertex.  Only the vertices of smaller
-    degree are tested for it.
+
+def _is_parent_vertex(adj: Sequence[int], v: int) -> bool:
+    """Whether v ranks first among the vertices whose removal keeps adj connected.
+
+    Non-cut vertices rank by least degree, then by the largest ascending
+    tuple of neighbor degrees, then by the most triangles; ties rank
+    together.  v itself must be non-cut, and only the vertices that
+    outrank v are tested for it.
     """
     d = adj[v].bit_count()
     full = (1 << len(adj)) - 1
-    return not any(
-        a.bit_count() < d and _reaches_all(adj, full ^ 1 << u) for u, a in enumerate(adj)
-    )
+    mine = None
+    for u, a in enumerate(adj):
+        du = a.bit_count()
+        if du > d or u == v:
+            continue
+        if du == d:
+            if mine is None:
+                mine = _rank(adj, v)
+            if _rank(adj, u) <= mine:
+                continue
+        if _reaches_all(adj, full ^ 1 << u):
+            return False
+    return True
+
+
+def _neighbor_sets(adj: Sequence[int]) -> list[int]:
+    """The nonempty vertex sets of adj that take the lowest members of each twin class.
+
+    Any permutation inside a twin class is an automorphism of adj, so
+    joining a new vertex to any other set gives a graph isomorphic to one
+    of these, by an isomorphism that fixes the new vertex.  There are
+    prod(|T| + 1) - 1 of them over the twin classes T.
+    """
+    sets = [0]
+    for twins in dict.fromkeys(_twin_class_of(adj)):
+        prefixes = [0, *itertools.accumulate(_bits(twins))]
+        sets = [s | p for s in sets for p in prefixes]
+    return sets[1:]  # sets[0] is empty
 
 
 def grow_classes(n: int, parents: Iterable[int]) -> dict[int, int]:
     """{canonical mask: |Aut|} of the connected order-n classes grown from parents.
 
     parents are canonical masks of order n - 1.  The new vertex v joins
-    each nonempty subset of a parent's vertices; a candidate is kept only
-    when v has the least degree among its non-cut vertices (the parent
-    rule), and canonical forms merge the remaining duplicates.  Grown
-    from every order-(n - 1) class, the keys are every order-n class;
-    grown from a share of them, the union over the shares is.
+    each of a parent's _neighbor_sets; a candidate is kept only when v
+    ranks first among its non-cut vertices (the parent rule, see
+    _is_parent_vertex), and canonical forms merge the remaining
+    duplicates.  Grown from every order-(n - 1) class, the keys are every
+    order-n class; grown from a share of them, the union over the shares
+    is.
     """
     v = n - 1  # the new vertex
     found: dict[int, int] = {}
     for mask in parents:
         parent = _mask_adjacency(v, mask)
-        for nbrs in range(1, 1 << v):
+        for nbrs in _neighbor_sets(parent):
             adj = [a | (nbrs >> u & 1) << v for u, a in enumerate(parent)]
             adj.append(nbrs)
             if _is_parent_vertex(adj, v):
@@ -435,10 +491,11 @@ def connected_classes(max_n: int) -> dict[int, list[tuple[int, int]]]:
     """Connected isomorphism classes of each order 1..max_n: ascending (canonical mask, |Aut|).
 
     Each order grows from the one below by grow_classes (isomorph-free
-    generation after Read 1978 and McKay 1998).  No class is lost: every
-    connected graph has non-cut vertices, and deleting one of least
-    degree leaves a connected graph of order n - 1, whose representative
-    regrows it.  A class has n!/|Aut| labelings.
+    generation after Read 1978 and McKay 1998).  No class is lost: the
+    parent rule's ranking reads only isomorphism invariants, so every
+    connected graph has a first-ranked non-cut vertex, and deleting it
+    leaves a connected graph of order n - 1 whose representative regrows
+    it.  A class has n!/|Aut| labelings.
     """
     if not 1 <= max_n <= MAX_ENUM_N:
         raise PreconditionError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}")

@@ -6,7 +6,8 @@ graph of a prime; enumerate_regular() generates
 the labeled regular graphs on up to 8 vertices that acceptance criteria
 03 and 09 sweep; labeled_sweep() is the labeled reference for the class
 sweep of verify_population(), and assert_same_up_to_rounding() compares
-the two.
+the two; reference_refine() is the plain colour refinement whose output
+graphs._refine must keep.
 """
 
 import functools
@@ -42,6 +43,37 @@ def paley_graph(p: int) -> Graph:
     """The Paley graph of a prime p = 1 mod 4: i ~ j when j - i is a nonzero square mod p."""
     squares = {x * x % p for x in range(1, p)}
     return Graph.from_edges(p, [(i, j) for j in range(p) for i in range(j) if (j - i) % p in squares])
+
+
+def reference_refine(adj, cells: list[int]) -> list[int]:
+    """Plain colour refinement, the reference for graphs._refine.
+
+    Splits cells by neighbor counts into the splitter cells[k], each split
+    cell replaced by its fragments in ascending count order, and restarts
+    the scan at the first cell after every split, until no cell splits
+    another.  Canonical masks are printed ids, so graphs._refine must
+    return this exact ordered partition.
+    """
+    k = 0
+    while k < len(cells):
+        splitter = cells[k]
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    b = rest & -rest
+                    c = (adj[b.bit_length() - 1] & splitter).bit_count()
+                    parts[c] = parts.get(c, 0) | b
+                    rest ^= b
+                if len(parts) > 1:
+                    out.extend(parts[c] for c in sorted(parts))
+                    continue
+            out.append(cell)
+        k = 0 if len(out) > len(cells) else k + 1
+        cells = out
+    return cells
 
 
 def enumerate_regular(n: int, r: int, connected_only: bool = False) -> Iterator[Graph]:

@@ -5,6 +5,7 @@ decoding, connectivity, and diameter; labeled connected-graph counts are
 checked against the classical subtraction recurrence.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -34,7 +35,7 @@ from destrada.graphs import (
     twin_classes,
 )
 from destrada.metric import distance_matrix
-from graph_helpers import edges, enumerate_regular
+from graph_helpers import edges, enumerate_regular, reference_refine
 
 
 @st.composite
@@ -379,18 +380,23 @@ def test_automorphism_counts_match_networkx(n):
 
 
 def test_labeling_counts_follow_a001187_to_eight_vertices():
-    # orbit-stabiliser: a class has n!/|Aut| labelings
+    # orbit-stabiliser: a class has n!/|Aut| labelings.  Canonical masks are
+    # printed ids, so the digest pins every (canonical mask, |Aut|) row up to
+    # n = 8: no change to class generation may move one
     table = connected_classes(8)
     sums = [sum(math.factorial(n) // aut for _, aut in table[n]) for n in range(1, 9)]
     assert sums == [connected_count_recurrence(n) for n in range(1, 9)]
     assert sums[-1] == 251548592
     assert len(table[8]) == 11117
+    digest = hashlib.sha1(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == "e5fe1076563642b89673a42afede299186226c55"
 
 
 def test_parent_rule_prunes_canonicalizations(monkeypatch):
-    # without the rule all 7,815 one-vertex extensions of the classes of
-    # orders 1..6 were canonicalized; the atlas and A001187 tests above stay
-    # the oracles that no class is lost
+    # of the 7,815 one-vertex extensions of the classes of orders 1..6 by a
+    # nonempty set, the twin-orbit sets and the ranked parent rule leave
+    # 1,362 to canonicalize; the atlas and A001187 tests above stay the
+    # oracles that no class is lost
     calls = []
     real = graphs_mod._canonical
 
@@ -401,26 +407,68 @@ def test_parent_rule_prunes_canonicalizations(monkeypatch):
     monkeypatch.setattr(graphs_mod, "_canonical", counting)
     table = connected_classes(7)
     assert [len(table[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
-    assert [calls.count(n) for n in range(2, 8)] == [1, 3, 11, 53, 296, 2432]
-    assert len(calls) == 2796
+    assert [calls.count(n) for n in range(2, 8)] == [1, 2, 6, 25, 145, 1183]
+    assert len(calls) == 1362
 
 
 @given(graphs(min_n=2, max_n=8))
 def test_every_connected_graph_has_a_parent_vertex(g):
-    # connected_classes keeps a candidate only when its new vertex has the
-    # least degree among the non-cut vertices; networkx finds the cut
-    # vertices here.  Such a vertex exists, its deletion leaves a connected
-    # graph, and the rule accepts exactly the non-cut vertices of that degree
+    # connected_classes keeps a candidate only when its new vertex ranks
+    # first among the non-cut vertices: least degree, then the largest
+    # ascending tuple of neighbour degrees, then the most triangles.
+    # networkx finds the cut vertices, degrees and triangles here.  A
+    # first-ranked vertex exists, its deletion leaves a connected graph,
+    # and the rule accepts exactly the first-ranked non-cut vertices
     assume(is_connected(g))
     h = to_nx(g)
     non_cut = sorted(set(h) - set(nx.articulation_points(h)))
     assert non_cut
-    least = min(h.degree(v) for v in non_cut)
+    triangles = nx.triangles(h)
+
+    def rank(v):
+        return -h.degree(v), sorted(h.degree(w) for w in h[v]), triangles[v]
+
+    top = max(rank(v) for v in non_cut)
     for v in non_cut:
-        assert graphs_mod._is_parent_vertex(g.adj, v) == (h.degree(v) == least)
+        assert graphs_mod._is_parent_vertex(g.adj, v) == (rank(v) == top)
         rest = h.copy()
         rest.remove_node(v)
         assert nx.is_connected(rest)
+
+
+def refine_starts(n):
+    """The unit partition of n vertices and each of its one-vertex individualizations."""
+    full = (1 << n) - 1
+    return [[full]] + [[1 << b, full ^ 1 << b] for b in range(n) if n > 1]
+
+
+def test_refine_matches_the_reference_on_every_small_labeled_graph():
+    for n in range(1, 7):
+        starts = refine_starts(n)
+        for mask in range(1 << n * (n - 1) // 2):
+            adj = graphs_mod._mask_adjacency(n, mask)
+            for cells in starts:
+                assert graphs_mod._refine(adj, cells) == reference_refine(adj, cells)
+
+
+@given(graphs(max_n=8))
+def test_refine_matches_the_reference_on_random_graphs(g):
+    for cells in refine_starts(g.n):
+        assert graphs_mod._refine(g.adj, cells) == reference_refine(g.adj, cells)
+
+
+@given(graphs(max_n=7))
+def test_twin_orbit_neighbor_sets_reach_every_extension(g):
+    # joining a new vertex to the yielded sets reaches every class that
+    # joining it to any nonempty set reaches
+    def extended(nbrs):
+        adj = [a | (nbrs >> u & 1) << g.n for u, a in enumerate(g.adj)]
+        return graphs_mod._canonical(adj + [nbrs])
+
+    sets = graphs_mod._neighbor_sets(g.adj)
+    assert len(set(sets)) == len(sets) and 0 not in sets
+    assert len(sets) == math.prod(c.bit_count() + 1 for c in twin_classes(g)) - 1
+    assert {extended(s) for s in sets} == {extended(s) for s in range(1, 1 << g.n)}
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
