@@ -38,6 +38,7 @@ from .records import (
     build_record,
     record_to_json,
     records_to_csv,
+    records_to_json,
     summary_to_csv,
     summary_to_json,
 )
@@ -107,22 +108,14 @@ def _emit(text: str, out: str | None) -> None:
             raise GraphFormatError(f"cannot write {out}: {exc}") from exc
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_compute(args: argparse.Namespace) -> tuple[str, int]:
     rec = build_record(_load_graph(args))
-    if args.format == "json":
-        _emit(record_to_json(rec), args.out)
-    else:
-        _emit(records_to_csv([rec]), args.out)
-    return EXIT_OK
+    return (record_to_json(rec) if args.format == "json" else records_to_csv([rec])), EXIT_OK
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[str, int]:
     reps = bound_report(_load_graph(args))
-    if args.format == "json":
-        _emit(bounds_to_json(reps), args.out)
-    else:
-        _emit(bounds_to_csv(reps), args.out)
-    return EXIT_OK
+    return (bounds_to_json(reps) if args.format == "json" else bounds_to_csv(reps)), EXIT_OK
 
 
 def _check_order(n: int) -> None:
@@ -155,7 +148,7 @@ def _sweep_graphs(args: argparse.Namespace) -> list[Graph]:
     return [build(n, *extra) for n in range(lo, hi + 1)]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     graphs = _sweep_graphs(args)
     for g in graphs:
         if not is_connected(g):
@@ -163,21 +156,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"family member on {g.n} vertices is not connected"
             )
     recs = [build_record(g) for g in graphs]
-    if args.format == "json":
-        body = ",\n".join(record_to_json(r) for r in recs)
-        _emit("[\n" + body + "\n]", args.out)
-    else:
-        _emit(records_to_csv(recs), args.out)
-    return EXIT_OK
+    return (records_to_json(recs) if args.format == "json" else records_to_csv(recs)), EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     summary = verify_population(args.max_n, threads=args.threads)
-    if args.format == "json":
-        _emit(summary_to_json(summary), args.out)
-    else:
-        _emit(summary_to_csv(summary), args.out)
-    return EXIT_OK if summary.passed else EXIT_VIOLATION
+    text = summary_to_json(summary) if args.format == "json" else summary_to_csv(summary)
+    return text, EXIT_OK if summary.passed else EXIT_VIOLATION
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -230,7 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.out)
+        return code
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,14 +1,18 @@
-"""Deterministic JSON and CSV serialization of per-graph records.
+"""Deterministic JSON and CSV serialization of per-graph records and summaries.
 
 Hand-rolled emitters so the byte stream is pinned: fixed field order,
 15-significant-digit round-half-even floats, lowercase booleans, null (JSON)
-or empty cell (CSV) for missing values.  graph6 strings use ASCII 63..126,
-so CSV cells never need quoting; the JSON emitter escapes backslashes.
+or empty cell (CSV) for missing values.  One writer prints every JSON value
+on one line, and every multi-line JSON text puts one item a line between
+brackets.  graph6 strings use ASCII 63..126, so CSV cells never need
+quoting; the JSON emitter escapes backslashes.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterable
 
 from .bounds import (
     CATALOG_IDS,
@@ -47,57 +51,60 @@ _SCALARS = (
 )
 
 
-def _json(x: str | bool | int | float | None) -> str:
-    """One JSON value: a non-finite float is null, like None."""
+# a JSON string escapes the quote, the backslash and every control character;
+# few strings hold any, and _ESCAPED finds those that do
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+_ESCAPED = re.compile("[" + re.escape("".join(map(chr, _ESCAPES))) + "]")
+
+
+def _json(x: object) -> str:
+    """One JSON value on one line: a non-finite float is null, like None; a
+    dict, keyed by field names, is an object, and a tuple or list an array."""
     if isinstance(x, str):
-        out = ['"']
-        for ch in x:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + (x.translate(_ESCAPES) if _ESCAPED.search(x) else x) + '"'
+    if isinstance(x, float):
+        return "null" if x != x or math.isinf(x) else fmt15(x)
     if x is None:
         return "null"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if x != x or math.isinf(x):
-        return "null"
-    return fmt15(x)
+    if isinstance(x, dict):
+        return "{" + ", ".join(f'"{k}": {_json(v)}' for k, v in x.items()) + "}"
+    return "[" + ", ".join(map(_json, x)) + "]"
+
+
+def _block(brackets: str, items: Iterable[str], pad: str = "  ") -> str:
+    """items one per line between the two brackets, each line of an item after pad."""
+    body = ",\n".join(pad + i.replace("\n", "\n" + pad) for i in items)
+    return f"{brackets[0]}\n{body}\n{brackets[1]}"
 
 
 def _cell(x: str | bool | int | float | None) -> str:
-    """One CSV cell: None is empty, a float keeps nan and inf."""
+    """One CSV cell: None is empty, a string bare, a float keeps nan and inf."""
     if x is None:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return fmt15(x)
-
-
-def _bound_json(r: BoundReport) -> str:
-    return "{" + ", ".join(f'"{f}": {_json(v)}' for f, v in zip(BoundReport._fields, r)) + "}"
+    return fmt15(x) if isinstance(x, float) else _json(x)
 
 
 def record_to_json(rec: Record) -> str:
     ev, rows = rec
-    fields = [f'"{name}": {_json(read(ev))}' for name, read in _SCALARS]
-    spec = "[" + ", ".join(fmt15(v) for v in ev.spectrum.values) + "]"
+    members = [f'"{name}": {_json(read(ev))}' for name, read in _SCALARS]
+    members.insert(6, f'"spectrum": {_json(ev.spectrum.values)}')  # the spectrum follows delta2
     t3_beats, t5_beats = comparisons_from(ev)
-    cmp_s = f'{{"t3_beats_t1": {_json(t3_beats)}, "t5_beats_t1": {_json(t5_beats)}}}'
-    bounds = ",\n    ".join(_bound_json(b) for b in rows)
-    fields.insert(6, f'"spectrum": {spec}')  # the spectrum follows delta2
-    fields += [f'"comparisons": {cmp_s}', f'"bounds": [\n    {bounds}\n  ]']
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+    members += [
+        f'"comparisons": {_json({"t3_beats_t1": t3_beats, "t5_beats_t1": t5_beats})}',
+        # the rows inline, not through bounds_to_json, so a traced run times them once
+        f'"bounds": {_block("[]", (_json(r._asdict()) for r in rows))}',
+    ]
+    return _block("{}", members)
+
+
+def records_to_json(recs: list[Record]) -> str:
+    return _block("[]", map(record_to_json, recs), pad="")
 
 
 # the bound row fields a record's CSV row repeats per catalog row
@@ -126,7 +133,7 @@ def records_to_csv(recs: list[Record]) -> str:
 
 
 def bounds_to_json(reports: tuple[BoundReport, ...]) -> str:
-    return "[\n  " + ",\n  ".join(_bound_json(r) for r in reports) + "\n]"
+    return _block("[]", (_json(r._asdict()) for r in reports))
 
 
 BOUNDS_CSV_HEADER = ",".join(BoundReport._fields)
@@ -136,47 +143,29 @@ def bounds_to_csv(reports: tuple[BoundReport, ...]) -> str:
     return "\n".join([BOUNDS_CSV_HEADER] + [",".join(map(_cell, r)) for r in reports]) + "\n"
 
 
+# the summary's JSON members in print order
+_SUMMARY_JSON = (
+    "population", "max_n", "graphs_checked", "counts_by_n", "passed",
+    "violations", "findings", "equality_hits", "t3_argmax",
+)
+# the summary's CSV rows in print order: each row's kind and the field it
+# reads; a scalar field is one row, a field of rows one row per entry
+_SUMMARY_CSV = (
+    ("population", "population"), ("graphs_checked", "graphs_checked"), ("passed", "passed"),
+    ("count", "counts_by_n"), ("violation", "violations"), ("finding", "findings"),
+    ("equality", "equality_hits"), ("argmax", "t3_argmax"),
+)
+
+
 def summary_to_json(s: VerificationSummary) -> str:
-    counts = ", ".join(f"[{n}, {c}]" for n, c in s.counts_by_n)
-    viols = ", ".join(
-        f"[{_json(g)}, {_json(c)}, {_json(sl)}]" for g, c, sl in s.violations
-    )
-    finds = ", ".join(
-        f"[{_json(g)}, {_json(c)}, {_json(sl)}]" for g, c, sl in s.findings
-    )
-    hits = ", ".join(f"[{_json(g)}, {_json(t)}]" for g, t in s.equality_hits)
-    argmax = ", ".join(
-        f"[{n}, {_json(g)}, {_json(sl)}]" for n, g, sl in s.t3_argmax
-    )
-    return (
-        "{\n"
-        f'  "population": {_json(s.population)},\n'
-        f'  "max_n": {s.max_n},\n'
-        f'  "graphs_checked": {s.graphs_checked},\n'
-        f'  "counts_by_n": [{counts}],\n'
-        f'  "passed": {_json(s.passed)},\n'
-        f'  "violations": [{viols}],\n'
-        f'  "findings": [{finds}],\n'
-        f'  "equality_hits": [{hits}],\n'
-        f'  "t3_argmax": [{argmax}]\n'
-        "}"
-    )
+    return _block("{}", (f'"{f}": {_json(getattr(s, f))}' for f in _SUMMARY_JSON))
 
 
 def summary_to_csv(s: VerificationSummary) -> str:
     """Typed rows: kind,field1,field2,field3."""
-    rows = ["kind,field1,field2,field3"]
-    rows.append(f"population,{s.population},,")
-    rows.append(f"graphs_checked,{s.graphs_checked},,")
-    rows.append(f"passed,{_cell(s.passed)},,")
-    for n, c in s.counts_by_n:
-        rows.append(f"count,{n},{c},")
-    for g, c, sl in s.violations:
-        rows.append(f"violation,{g},{c},{fmt15(sl)}")
-    for g, c, sl in s.findings:
-        rows.append(f"finding,{g},{c},{fmt15(sl)}")
-    for g, t in s.equality_hits:
-        rows.append(f"equality,{g},{t},")
-    for n, g, sl in s.t3_argmax:
-        rows.append(f"argmax,{n},{g},{fmt15(sl)}")
-    return "\n".join(rows) + "\n"
+    lines = ["kind,field1,field2,field3"]
+    for kind, field in _SUMMARY_CSV:
+        value = getattr(s, field)
+        for row in value if isinstance(value, tuple) else [(value,)]:
+            lines.append(",".join([kind, *map(_cell, (*row, None, None)[:3])]))
+    return "\n".join(lines) + "\n"

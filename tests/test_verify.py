@@ -1,6 +1,7 @@
 """Exhaustive-sweep harness: the class sweep against the labeled one, shard
 merging, dedup, and summary contents."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -32,7 +33,8 @@ from destrada.graphs import (
     to_graph6,
 )
 from destrada.metric import distance_matrix, sum_sq_distances
-from destrada.records import summary_to_json
+from destrada.numeric import fmt15
+from destrada.records import summary_to_csv, summary_to_json
 from destrada.spectra import (
     EigenConvergenceError,
     Spectrum,
@@ -512,6 +514,15 @@ def _c5_adjacency_solves(monkeypatch, module, fake) -> None:
     )
 
 
+def _forced_eig(rows, real):
+    raise EigenConvergenceError("forced")
+
+
+def _shifted_lambda1(rows, real):
+    s = real(rows)
+    return Spectrum((s.values[0] + 0.5,) + s.values[1:])
+
+
 @pytest.mark.parametrize("module", [verify_mod, bounds_mod], ids=["L2_transform", "T6_complement"])
 def test_failed_adjacency_solve_fails_its_class(module, monkeypatch, capsys, pop5):
     # to five vertices the checks solve adjacency matrices only on K5 and
@@ -519,10 +530,7 @@ def test_failed_adjacency_solve_fails_its_class(module, monkeypatch, capsys, pop
     # its complement's, here another five-cycle.  A failed solve of either
     # is a fact of the class, recorded like a failed distance solve; the
     # pair row, which reads distance spectra only, stands
-    def fail(rows, real):
-        raise EigenConvergenceError("forced")
-
-    _c5_adjacency_solves(monkeypatch, module, fail)
+    _c5_adjacency_solves(monkeypatch, module, _forced_eig)
     summary = verify_population(5)
     c5 = _ids(C5_LABELINGS)
     assert [v[:2] for v in summary.violations] == [(gid, "EIG_convergence") for gid in c5]
@@ -536,11 +544,7 @@ def test_adjacency_spectrum_off_regularity_fails_the_l2_transform(monkeypatch, c
     # lemma2_spectrum rejects an adjacency spectrum that does not lead with
     # the degree r; the sweep records that as L2_transform on the class,
     # with |lambda_1(A) - r| as the residual, and leaves every other verdict
-    def shifted(rows, real):
-        s = real(rows)
-        return Spectrum((s.values[0] + 0.5,) + s.values[1:])
-
-    _c5_adjacency_solves(monkeypatch, verify_mod, shifted)
+    _c5_adjacency_solves(monkeypatch, verify_mod, _shifted_lambda1)
     summary = verify_population(5)
     c5 = _ids(C5_LABELINGS)
     assert [v[:2] for v in summary.violations] == [(gid, "L2_transform") for gid in c5]
@@ -548,6 +552,57 @@ def test_adjacency_spectrum_off_regularity_fails_the_l2_transform(monkeypatch, c
     assert (summary.findings, summary.equality_hits) == (pop5.findings, pop5.equality_hits)
     assert main(["verify", "--max-n", "5"]) == EXIT_VIOLATION
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_violation_rows_print_exactly(fmt, monkeypatch, capsys):
+    # no golden holds a violation, so this pins how one prints: a failed
+    # solve has no slack, null in JSON and nan in CSV; a shifted lambda_1
+    # prints its finite residual through fmt15.  Either exits 4
+    for fake, check in [(_forced_eig, "EIG_convergence"), (_shifted_lambda1, "L2_transform")]:
+        with monkeypatch.context() as mp:
+            _c5_adjacency_solves(mp, verify_mod, fake)
+            slacks = [v[2] for v in verify_population(5).violations]
+            assert main(["verify", "--max-n", "5", "--format", fmt]) == EXIT_VIOLATION
+        out = capsys.readouterr().out.splitlines()
+        gids = _ids(C5_LABELINGS)
+        assert len(slacks) == len(gids)
+        assert all(math.isnan(s) == (check == "EIG_convergence") for s in slacks)
+        if fmt == "json":
+            rows = ", ".join(
+                f'[{json.dumps(g)}, "{check}", {"null" if math.isnan(s) else fmt15(s)}]'
+                for g, s in zip(gids, slacks)
+            )
+            assert f'  "violations": [{rows}],' in out
+        else:
+            rows = [f"violation,{g},{check},{fmt15(s)}" for g, s in zip(gids, slacks)]
+            assert [line for line in out if line.startswith("violation,")] == rows
+
+
+# the CSV row kind of each summary field that holds rows
+_CSV_KIND = {
+    "counts_by_n": "count",
+    "violations": "violation",
+    "findings": "finding",
+    "equality_hits": "equality",
+    "t3_argmax": "argmax",
+}
+
+
+def test_summary_printers_cover_every_field(pop5):
+    # a field added to VerificationSummary must reach both printers: the
+    # JSON keys are the fields, with passed before the violations, in
+    # field order, and every row of a row-holding field is a CSV row
+    s = dataclasses.replace(pop5, violations=(("Dhc", "T1_lower", -0.25),))
+    names = [f.name for f in dataclasses.fields(VerificationSummary)]
+    names.insert(names.index("violations"), "passed")
+    assert list(json.loads(summary_to_json(s))) == names
+    kinds = [line.split(",")[0] for line in summary_to_csv(s).splitlines()[1:]]
+    assert [k for k in kinds if k in names] == ["population", "graphs_checked", "passed"]
+    for name in names:
+        value = getattr(s, name)
+        if isinstance(value, tuple):
+            assert kinds.count(_CSV_KIND[name]) == len(value) > 0, name
 
 
 def test_pair_row_is_symmetric_in_its_two_graphs():
