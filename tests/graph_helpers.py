@@ -7,7 +7,9 @@ the labeled regular graphs on up to 8 vertices that acceptance criteria
 03 and 09 sweep; labeled_sweep() is the labeled reference for the class
 sweep of verify_population(), and assert_same_up_to_rounding() compares
 the two; reference_refine() is the plain colour refinement whose output
-graphs._refine must keep.
+graphs._refine must keep.  t3_beats_t1() and t5_beats_t1() test the two
+dominance claims of docs/findings.md section 4 through the catalog's own
+formulas.
 """
 
 import functools
@@ -15,7 +17,16 @@ import itertools
 import json
 from typing import Iterator
 
-from destrada.bounds import CATALOG_IDS, T3_LOWER, bound_report
+from destrada.bounds import (
+    CATALOG_IDS,
+    T3_LOWER,
+    _radical,
+    _t1_lower,
+    _t1_upper,
+    _t3_lower,
+    _t5_upper,
+    bound_report,
+)
 from destrada.graphs import (
     MAX_ENUM_N,
     Graph,
@@ -37,6 +48,16 @@ def edges(g: Graph) -> list[tuple[int, int]]:
 
 def complete_graph_id(n: int) -> str:
     return to_graph6(complete_graph(n))
+
+
+def t3_beats_t1(n: int, m: int, delta1: int, delta2: int) -> bool:
+    """The degree-profile lower bound exceeds the base lower bound sqrt(n^2 + 4m)."""
+    return _t3_lower(n, _radical(n, delta1, delta2)).value > _t1_lower(n, m).value
+
+
+def t5_beats_t1(n: int, rho: int) -> bool:
+    """The diameter upper bound is below the base one, compared on the log scale."""
+    return _t5_upper(n, rho).log_value < _t1_upper(n, rho).log_value
 
 
 def paley_graph(p: int) -> Graph:

@@ -1,8 +1,9 @@
 """Acceptance gate: thirteen criteria, one test and one pass/fail line each.
 
-Criterion coverage relies on two shared fixtures: an exhaustive sweep of
-every connected labeled graph on 2..7 vertices (1,893,731 graphs), and
-the enumerated connected regular graphs of diameter <= 2 on up to 8
+Criterion coverage relies on three shared fixtures: an exhaustive sweep
+of every connected labeled graph on 2..7 vertices (1,893,731 graphs),
+the (n, m, rho, delta1, delta2) facts of their classes, and the
+enumerated connected regular graphs of diameter <= 2 on up to 8
 vertices.  Tolerances are stated inline at each assertion.
 """
 
@@ -22,6 +23,7 @@ from destrada.cli import main
 from destrada.graphs import (
     Graph,
     complete_graph,
+    connected_classes,
     cycle_graph,
     multipartite_graph,
     path_graph,
@@ -37,7 +39,7 @@ from destrada.spectra import (
     lemma2_spectrum,
 )
 from destrada.verify import verify_population
-from graph_helpers import complete_graph_id, enumerate_regular
+from graph_helpers import complete_graph_id, enumerate_regular, t3_beats_t1, t5_beats_t1
 
 POPULATION_COUNTS = ((2, 1), (3, 4), (4, 38), (5, 728), (6, 26704), (7, 1866256))
 POPULATION_TOTAL = 1893731
@@ -50,6 +52,18 @@ def population7():
     t0 = time.monotonic()
     summary = verify_population(7)
     return summary, time.monotonic() - t0
+
+
+@pytest.fixture(scope="module")
+def class_facts7():
+    """The (n, m, rho, delta1, delta2) that the connected classes on 2..7 vertices take."""
+    table = connected_classes(7)
+    facts = set()
+    for n in range(2, 8):
+        for mask, _ in table[n]:
+            ev = evaluate(Graph.from_pair_mask(n, mask))
+            facts.add((n, ev.graph.m, ev.rho, ev.delta1, ev.delta2))
+    return facts
 
 
 def violations_with(summary, check_id):
@@ -136,15 +150,27 @@ def test_criterion_06_degree_profile_lower_bound_and_equality_set(population7):
     assert hits == COMPLETE_IDS
 
 
-def test_criterion_07_strict_upper_bound_and_its_dominance(population7):
+def test_criterion_07_strict_upper_bound_and_its_dominance(population7, class_facts7):
     summary, _ = population7
     assert violations_with(summary, "T5_upper") == []
-    assert violations_with(summary, "COMP_t5_vs_t1") == []
+    # the diameter bound beats the base upper bound on every 1 <= rho < n up
+    # to n = 62, which covers every (n, rho) the classes take
+    taken = {(n, rho) for n, _, rho, _, _ in class_facts7}
+    every = {(n, rho) for n in range(2, 63) for rho in range(1, n)}
+    assert len(taken) == 21 and taken <= every
+    assert all(t5_beats_t1(n, rho) for n, rho in every)
 
 
-def test_criterion_08_lower_bound_dominance(population7):
+def test_criterion_08_lower_bound_dominance(population7, class_facts7):
     summary, _ = population7
-    assert violations_with(summary, "COMP_t3_vs_t1") == []
+    # the degree-profile bound beats the base lower bound on every
+    # (n, m, delta1, delta2) the classes take, and up to n = 62 on every
+    # degree pair with m at its largest, n(n - 1)/2, where sqrt(n^2 + 4m) peaks
+    taken = {(n, m, d1, d2) for n, m, _, d1, d2 in class_facts7}
+    assert len(taken) == 153
+    every = {(n, n * (n - 1) // 2, d1, d2)
+             for n in range(2, 63) for d1 in range(n) for d2 in range(d1 + 1)}
+    assert all(t3_beats_t1(*facts) for facts in taken | every)
     assert violations_with(summary, "T3_argmax_sanity") == []
     for n, gid, _ in summary.t3_argmax:
         if n >= 3:

@@ -34,6 +34,7 @@ from destrada.graphs import (
     Graph,
     complement,
     complete_graph,
+    connected_classes,
     cycle_graph,
     path_graph,
     petersen_graph,
@@ -41,7 +42,7 @@ from destrada.graphs import (
     to_graph6,
 )
 from destrada.spectra import Spectrum, adjacency_matrix, eig_sym
-from graph_helpers import paley_graph
+from graph_helpers import paley_graph, t3_beats_t1, t5_beats_t1
 
 
 @st.composite
@@ -326,8 +327,7 @@ def test_asserted_bounds_hold_on_random_graphs(g):
     assert got["T3_lower"].equality == (got["L4_class"].note == "CompleteCase")
     assert got["L3_lambda1_lower"].holds
     assert got["L4_class"].holds
-    t3_beats, t5_beats = comparisons_from(ev)
-    assert t3_beats and t5_beats
+    assert t3_beats_t1(g.n, g.m, ev.delta1, ev.delta2) and t5_beats_t1(g.n, ev.rho)
 
 
 def test_catalog_pins_known_k4_behavior(k):
@@ -401,6 +401,42 @@ def test_mean_degree_row_is_descriptive_and_fails_at_k3(k):
     assert row.note.startswith("descriptive only")
 
 
+def test_mean_degree_failure_chain_of_the_findings():
+    # docs/findings.md section 1, each link on every class of 3 <= n <= 7:
+    # a failure needs lambda1 - a < log(1 + (n - 1)e**-a); diameter >= 3
+    # gives lambda1 >= 2W/n >= a + 2/n, more than that; a non-regular
+    # graph of diameter <= 2 gives lambda1 - a >= 1/(4n^2)
+    t2 = CATALOG[CATALOG_IDS.index("T2_lower")]
+    table = connected_classes(7)
+    for n in range(3, 8):
+        for mask, _ in table[n]:
+            ev = evaluate(Graph.from_pair_mask(n, mask))
+            m, degs = ev.graph.m, ev.graph.degrees()
+            lam1 = ev.spectrum.values[0]
+            tol = 1e-9 * lam1
+            a = 2.0 * (n - 1) - 2.0 * m / n
+            need = math.log1p((n - 1) * math.exp(-a))
+            assert a >= n - 1
+            if not t2.report(ev).holds:
+                assert lam1 - a < need
+            trans = [sum(row) for row in ev.dm.rows]
+            assert lam1 >= sum(trans) / n - tol  # all-ones Rayleigh quotient, 2W/n
+            if ev.rho >= 3:
+                assert sum(trans) >= 2 * n * (n - 1) - 2 * m + 2  # 2W/n >= a + 2/n
+                assert 2 / n > need
+            elif ev.r is None:
+                assert trans == [2 * (n - 1) - d for d in degs]
+                var_n2 = n * sum(d * d for d in degs) - (2 * m) ** 2  # n^2 var(d)
+                assert var_n2 >= n - 1
+                root = math.sqrt(a * a + var_n2 / (n * n))
+                assert root == pytest.approx(math.hypot(*trans) / math.sqrt(n), rel=1e-12)
+                assert lam1 >= root - tol  # ||D1|| / sqrt(n)
+                assert root - a >= 1 / (4 * n * n)
+    # 1/(4n^2) > (n - 1)e**-(n - 1) >= log(1 + (n - 1)e**-a) from n = 9 on, not at 8
+    assert all(math.exp(n - 1) > 4 * n * n * (n - 1) for n in range(9, 63))
+    assert math.exp(7) < 4 * 64 * 7
+
+
 def test_identity_row_inapplicability_notes(path, cycle):
     assert by_id(bound_report(path(4)))["T6_identity"].note == "not regular"
     assert by_id(bound_report(cycle(6)))["T6_identity"].note == "diameter > 2"
@@ -434,5 +470,5 @@ def test_large_graphs_report_upper_bounds_on_the_log_scale(path):
         assert row.observed == pytest.approx(evaluate(g).dee.log_value, rel=1e-12)
     # lower bounds stay in the value domain here
     assert not got["T1_lower"].log_domain
-    t3_beats, t5_beats = comparisons_from(evaluate(g))
-    assert t3_beats and t5_beats
+    ev = evaluate(g)
+    assert t3_beats_t1(g.n, g.m, ev.delta1, ev.delta2) and t5_beats_t1(g.n, ev.rho)

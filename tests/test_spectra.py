@@ -27,6 +27,7 @@ from destrada.graphs import (
 )
 from destrada.metric import distance_matrix, involution, sum_sq_distances
 from destrada.spectra import (
+    SIGNATURE_ABS_TOL,
     EigenConvergenceError,
     Spectrum,
     adjacency_matrix,
@@ -536,3 +537,9 @@ def test_transforms_reject_inconsistent_regularity(cycle):
         lemma2_spectrum(adj_s, 5, 3)
     with pytest.raises(ValueError):
         lemma2_spectrum(adj_s, 5, 1)
+    # the leading value may miss r by the signature tolerance and no more
+    tail = adj_s.values[1:]
+    inside = lemma2_spectrum(Spectrum((2.0 + 0.99 * SIGNATURE_ABS_TOL,) + tail), 5, 2)
+    assert inside.values[0] == 6.0
+    with pytest.raises(ValueError):
+        lemma2_spectrum(Spectrum((2.0 + 1.01 * SIGNATURE_ABS_TOL,) + tail), 5, 2)
